@@ -15,17 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import as_points
+from .nnet import logsumexp
 
 COVARIANCE_FLOOR = 1e-4  # m^2, eigenvalue floor
 KMEANS_ITERS = 10
 LOG_2PI = np.log(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
 
 
 @dataclass
@@ -39,11 +33,6 @@ class GmmModel:
     @property
     def n_components(self) -> int:
         return len(self.weights)
-
-    @property
-    def components(self) -> list[GaussianComponent]:
-        return [GaussianComponent(float(w), m.copy(), c.copy())
-                for w, m, c in zip(self.weights, self.means, self.covariances)]
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
@@ -67,15 +56,10 @@ def _component_log_densities(pts: np.ndarray, model: GmmModel) -> np.ndarray:
     return out
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = a.max(axis=axis, keepdims=True)
-    return (peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
 def gmm_log_likelihood(model: GmmModel, cloud) -> float:
     pts = as_points(cloud)
     log_dens = _component_log_densities(pts, model) + np.log(model.weights)
-    return float(_logsumexp(log_dens, axis=1).sum())
+    return float(logsumexp(log_dens, axis=1).sum())
 
 
 def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,7 +129,7 @@ def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-6,
     prev_ll = -np.inf
     for _ in range(max_iters):
         log_dens = _component_log_densities(pts, model) + np.log(model.weights)
-        row_lse = _logsumexp(log_dens, axis=1)
+        row_lse = logsumexp(log_dens, axis=1)
         ll = float(row_lse.sum())
         ll_trace.append(ll)
         resp = np.exp(log_dens - row_lse[:, None])

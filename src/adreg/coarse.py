@@ -1,10 +1,15 @@
-"""Coarse registration over purified superpoints.
+"""The correspondence head shared by the coarse and fine stages, and the
+coarse registration stage.
 
-Candidates are retrieved per source superpoint by KNN in descriptor space;
-geometric and descriptor feature tensors feed a CBR predictor whose softmax
-weights fuse candidate coordinates and descriptors into pseudo-targets. An
-MLP scores per-point confidence and a weighted SVD solves for the rigid
-transform. Forward/backward pairs expose exact gradients end to end.
+Both stages find a transform the same way. Each source point has K
+candidate targets; the candidates' weights fuse their coordinates and
+descriptors into a pseudo-target, a confidence MLP scores each fused
+descriptor, and a confidence-weighted SVD solves for the rigid transform
+(``decode_forward``). Only the source of the weights differs: here, a CBR
+predictor scores the geometric and descriptor features of candidates
+retrieved by descriptor-space KNN over the purified coarse superpoints; in
+``diffusion``, the weights decode a denoised correspondence over the same
+feature builders. Forward/backward pairs expose exact gradients end to end.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bgmm, nnet
-from .backbone import Backbone, BackboneOutput, FeatureSet
-from .geometry import NeighborSet, RigidTransform, knn_search, skew
+from .backbone import Backbone, FeatureSet
+from .geometry import RigidTransform, knn_search, skew
 
 WEIGHT_FLOOR = 1e-12
 NORM_EPS = 1e-12
@@ -27,38 +32,10 @@ class DegeneracyError(RuntimeError):
     """Geometry too degenerate to determine a rigid transform."""
 
 
-@dataclass
-class CandidateFeatures:
-    geometric: np.ndarray   # (N, K, 10)
-    descriptor: np.ndarray  # (N, K, 2C + 3)
-
-
-@dataclass
-class WeightedCorrespondences:
-    fused_points: np.ndarray       # (N, 3)
-    fused_descriptors: np.ndarray  # (N, C)
-    candidate_weights: np.ndarray  # (N, K), rows sum to 1
-    confidences: np.ndarray        # (N,)
-
-
-class CandidatePredictor:
-    """Per-candidate CBR scorer (widths 64/64/32, scalar head)."""
-
-    def __init__(self, descriptor_dim: int, rng: np.random.Generator):
-        self.in_dim = 10 + 2 * descriptor_dim + 3
-        self.stack = nnet.CBRStack(self.in_dim, PREDICTOR_WIDTHS, 1, rng)
-
-    def forward(self, rows: np.ndarray, train: bool):
-        return self.stack.forward(rows, train)
-
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        return self.stack.backward(cache, grad_out)
-
-    def named_params(self, prefix: str):
-        yield from self.stack.named_params(prefix)
-
-    def named_buffers(self, prefix: str):
-        yield from self.stack.named_buffers(prefix)
+def make_predictor(descriptor_dim: int, rng: np.random.Generator) -> nnet.CBRStack:
+    """Per-candidate CBR scorer (widths 64/64/32, scalar head) over the
+    geometric (10) and similarity-bearing descriptor (2C + 3) features."""
+    return nnet.CBRStack(10 + 2 * descriptor_dim + 3, PREDICTOR_WIDTHS, 1, rng)
 
 
 class ConfidenceHead:
@@ -82,75 +59,88 @@ class ConfidenceHead:
 
 
 # ---------------------------------------------------------------------------
-# Candidate feature assembly
+# Candidate features, shared by both stages
 
 
 def _safe_norms(vecs: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(vecs, axis=-1), NORM_EPS)
 
 
-def assemble_candidate_features(src: FeatureSet, tgt: FeatureSet,
-                                cand_idx: np.ndarray, with_similarity: bool = True):
-    """Build geometric and descriptor feature tensors for given candidates.
+def scatter_candidates(out: np.ndarray, cand_idx: np.ndarray,
+                       g_cand: np.ndarray) -> np.ndarray:
+    """Add per-candidate gradients (N, K, ...) into their target rows of
+    ``out``, in place; returns ``out``."""
+    np.add.at(out, cand_idx.reshape(-1), g_cand.reshape((-1,) + out.shape[1:]))
+    return out
 
-    Returns (CandidateFeatures, cache). The descriptor block carries the
-    cosine-similarity channel only for the coarse stage.
-    """
+
+def geometric_features(src_pts: np.ndarray, tgt_pts: np.ndarray,
+                       cand_idx: np.ndarray):
+    """Per-candidate rows (N, K, 10): the source point, the candidate, their
+    difference and its norm. Returns (features, cache)."""
+    cand_pts = tgt_pts[cand_idx]
+    diff = src_pts[:, None, :] - cand_pts
+    norms = np.linalg.norm(diff, axis=-1)
+    f_g = np.concatenate(
+        [np.broadcast_to(src_pts[:, None, :], cand_pts.shape),
+         cand_pts, diff, norms[..., None]], axis=-1)
+    cache = {"diff": diff, "norms": norms, "cand_idx": cand_idx,
+             "n_tgt": len(tgt_pts)}
+    return f_g, cache
+
+
+def geometric_features_backward(cache, g_f_g: np.ndarray):
+    """Returns (g_src_pts, g_tgt_pts); target gradients scatter through the
+    candidate indices."""
+    diff, norms = cache["diff"], cache["norms"]
+    g_src = g_f_g[..., 0:3].sum(axis=1)
+    g_cand = g_f_g[..., 3:6].copy()
+    g_diff = g_f_g[..., 6:9].copy()
+    g_diff += g_f_g[..., 9:10] * diff / np.maximum(norms, NORM_EPS)[..., None]
+    g_src += g_diff.sum(axis=1)
+    g_cand -= g_diff
+    return g_src, scatter_candidates(np.zeros((cache["n_tgt"], 3)),
+                                     cache["cand_idx"], g_cand)
+
+
+def descriptor_features(src: FeatureSet, tgt: FeatureSet, cand_idx: np.ndarray,
+                        with_similarity: bool):
+    """Per-candidate rows (N, K, 2C + 2): source and candidate descriptors,
+    then source and candidate uncertainties. ``with_similarity`` appends
+    their cosine similarity (2C + 3), which only the coarse stage uses.
+    Returns (features, cache)."""
     if src.descriptors.shape[1] != tgt.descriptors.shape[1]:
         raise ValueError("source and target descriptor widths differ")
     n, k = cand_idx.shape
-    cand_pts = tgt.points[cand_idx]               # (N, K, 3)
     cand_desc = tgt.descriptors[cand_idx]         # (N, K, C)
-    cand_unc = tgt.uncertainties[cand_idx]        # (N, K)
-    diff = src.points[:, None, :] - cand_pts
-    norms = np.linalg.norm(diff, axis=-1)
-    geometric = np.concatenate(
-        [np.broadcast_to(src.points[:, None, :], cand_pts.shape),
-         cand_pts, diff, norms[..., None]], axis=-1)
-
-    c = src.descriptors.shape[1]
     parts = [np.broadcast_to(src.descriptors[:, None, :], cand_desc.shape),
              cand_desc,
              np.broadcast_to(src.uncertainties[:, None, None], (n, k, 1)),
-             cand_unc[..., None]]
-    cache = {"cand_idx": cand_idx, "diff": diff, "norms": norms, "c": c,
-             "with_similarity": with_similarity, "n_tgt": len(tgt),
-             "src_desc": src.descriptors, "cand_desc": cand_desc}
+             tgt.uncertainties[cand_idx][..., None]]
+    cache = {"cand_idx": cand_idx, "n_tgt": len(tgt), "c": cand_desc.shape[-1],
+             "with_similarity": with_similarity}
     if with_similarity:
         src_norm = _safe_norms(src.descriptors)           # (N,)
         cand_norm = _safe_norms(cand_desc)                # (N, K)
         dots = (src.descriptors[:, None, :] * cand_desc).sum(-1)
         sim = dots / (src_norm[:, None] * cand_norm)
         parts.append(sim[..., None])
-        cache.update({"src_norm": src_norm, "cand_norm": cand_norm, "sim": sim})
-    descriptor = np.concatenate(parts, axis=-1)
-    return CandidateFeatures(geometric, descriptor), cache
+        cache.update({"src_desc": src.descriptors, "cand_desc": cand_desc,
+                      "src_norm": src_norm, "cand_norm": cand_norm, "sim": sim})
+    return np.concatenate(parts, axis=-1), cache
 
 
-def assemble_candidate_features_backward(cache, g_geometric, g_descriptor):
-    """Gradients of the feature tensors w.r.t. both feature sets.
-
-    Returns (g_src_pts, g_src_desc, g_src_unc, g_tgt_pts, g_tgt_desc,
-    g_tgt_unc); target-side gradients scatter through the candidate indices.
-    """
-    cand_idx = cache["cand_idx"]
-    diff, norms, c = cache["diff"], cache["norms"], cache["c"]
-    n, k = cand_idx.shape
-
-    g_src_pts = g_geometric[..., 0:3].sum(axis=1)
-    g_cand_pts = g_geometric[..., 3:6].copy()
-    g_diff = g_geometric[..., 6:9].copy()
-    g_diff += g_geometric[..., 9:10] * diff / np.maximum(norms, NORM_EPS)[..., None]
-    g_src_pts += g_diff.sum(axis=1)
-    g_cand_pts -= g_diff
-
-    g_src_desc = g_descriptor[..., 0:c].sum(axis=1)
-    g_cand_desc = g_descriptor[..., c:2 * c].copy()
-    g_src_unc = g_descriptor[..., 2 * c].sum(axis=1)
-    g_cand_unc = g_descriptor[..., 2 * c + 1].copy()
+def descriptor_features_backward(cache, g_f_d: np.ndarray):
+    """Returns (g_src_desc, g_src_unc, g_tgt_desc, g_tgt_unc); target
+    gradients scatter through the candidate indices."""
+    c = cache["c"]
+    g_src_desc = g_f_d[..., 0:c].sum(axis=1)
+    g_cand_desc = g_f_d[..., c:2 * c].copy()
+    g_src_unc = g_f_d[..., 2 * c].sum(axis=1)
+    g_cand_unc = g_f_d[..., 2 * c + 1]
 
     if cache["with_similarity"]:
-        g_sim = g_descriptor[..., 2 * c + 2]
+        g_sim = g_f_d[..., 2 * c + 2]
         src_desc, cand_desc = cache["src_desc"], cache["cand_desc"]
         src_norm, cand_norm, sim = cache["src_norm"], cache["cand_norm"], cache["sim"]
         denom = src_norm[:, None] * cand_norm
@@ -160,53 +150,36 @@ def assemble_candidate_features_backward(cache, g_geometric, g_descriptor):
             src_desc[:, None, :], cand_desc.shape)
         g_cand_desc -= ((g_sim * sim) / cand_norm ** 2)[..., None] * cand_desc
 
-    n_tgt = cache["n_tgt"]
-    g_tgt_pts = np.zeros((n_tgt, 3))
-    np.add.at(g_tgt_pts, cand_idx.reshape(-1), g_cand_pts.reshape(-1, 3))
-    g_tgt_desc = np.zeros((n_tgt, c))
-    np.add.at(g_tgt_desc, cand_idx.reshape(-1), g_cand_desc.reshape(-1, c))
-    g_tgt_unc = np.zeros(n_tgt)
-    np.add.at(g_tgt_unc, cand_idx.reshape(-1), g_cand_unc.reshape(-1))
-    return g_src_pts, g_src_desc, g_src_unc, g_tgt_pts, g_tgt_desc, g_tgt_unc
-
-
-def build_candidate_features(src: FeatureSet, tgt: FeatureSet, k: int):
-    """Retrieve top-k candidates by descriptor-space KNN and assemble features."""
-    if k < 1 or k > len(tgt):
-        raise ValueError(f"candidate count k={k} must lie in [1, {len(tgt)}]")
-    neighbors = knn_search(src.descriptors, tgt.descriptors, k)
-    features, _ = assemble_candidate_features(src, tgt, neighbors.indices,
-                                              with_similarity=True)
-    return features, neighbors
+    n_tgt, cand_idx = cache["n_tgt"], cache["cand_idx"]
+    return (g_src_desc, g_src_unc,
+            scatter_candidates(np.zeros((n_tgt, c)), cand_idx, g_cand_desc),
+            scatter_candidates(np.zeros(n_tgt), cand_idx, g_cand_unc))
 
 
 # ---------------------------------------------------------------------------
 # Candidate weighting and fusion
 
 
-def predict_candidate_weights(predictor: CandidatePredictor,
-                              features: CandidateFeatures, train: bool):
-    n, k = features.geometric.shape[:2]
-    rows = np.concatenate(
-        [features.geometric.reshape(n * k, -1),
-         features.descriptor.reshape(n * k, -1)], axis=1)
+def predict_candidate_weights(predictor: nnet.CBRStack, f_g: np.ndarray,
+                              f_d: np.ndarray, train: bool):
+    """Softmax over each row's candidates of the predictor's scores."""
+    n, k = f_g.shape[:2]
+    rows = np.concatenate([f_g.reshape(n * k, -1), f_d.reshape(n * k, -1)], axis=1)
     logits, stack_cache = predictor.forward(rows, train)
     weights = nnet.softmax_rows(logits.reshape(n, k))
-    cache = {"weights": weights, "geo_dim": features.geometric.shape[-1],
-             "stack": stack_cache}
+    cache = {"weights": weights, "geo_dim": f_g.shape[-1], "stack": stack_cache}
     return weights, cache
 
 
-def predict_candidate_weights_backward(predictor: CandidatePredictor, cache,
+def predict_candidate_weights_backward(predictor: nnet.CBRStack, cache,
                                        g_weights: np.ndarray):
+    """Returns the gradients of the geometric and descriptor features."""
     weights = cache["weights"]
     n, k = weights.shape
     g_logits = nnet.softmax_rows_backward(g_weights, weights)
     g_rows = predictor.backward(cache["stack"], g_logits.reshape(n * k, 1))
     gd = cache["geo_dim"]
-    g_geometric = g_rows[:, :gd].reshape(n, k, gd)
-    g_descriptor = g_rows[:, gd:].reshape(n, k, -1)
-    return g_geometric, g_descriptor
+    return g_rows[:, :gd].reshape(n, k, gd), g_rows[:, gd:].reshape(n, k, -1)
 
 
 def fuse_candidates(weights: np.ndarray, cand_pts: np.ndarray,
@@ -315,6 +288,41 @@ def weighted_svd_backward(cache, g_rot: np.ndarray, g_trans: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# Decode chain, shared by both stages: weights -> fusion -> confidence -> SVD
+
+
+def decode_forward(weights: np.ndarray, src_pts: np.ndarray, tgt_pts: np.ndarray,
+                   tgt_desc: np.ndarray, cand_idx: np.ndarray,
+                   confidence: ConfidenceHead):
+    """Fuse each row's candidates by ``weights``, score the fused descriptors'
+    confidence, and solve the confidence-weighted SVD from ``src_pts`` to the
+    fused points. Returns (transform, per-point confidences, cache)."""
+    cand_pts = tgt_pts[cand_idx]
+    cand_desc = tgt_desc[cand_idx]
+    fused_pts, fused_desc = fuse_candidates(weights, cand_pts, cand_desc)
+    conf, conf_cache = confidence.forward(fused_desc)
+    transform, svd_cache = weighted_svd_forward(src_pts, fused_pts, conf)
+    cache = {"weights": weights, "cand_pts": cand_pts, "cand_desc": cand_desc,
+             "cand_idx": cand_idx, "n_tgt": len(tgt_pts), "conf": conf_cache,
+             "svd": svd_cache}
+    return transform, conf, cache
+
+
+def decode_backward(cache, confidence: ConfidenceHead, g_rot: np.ndarray,
+                    g_trans: np.ndarray):
+    """Returns (g_weights, g_src_pts, g_cand_pts, g_cand_desc). The caller
+    scatters the per-candidate gradients onto its targets: the coarse head
+    adds them in place onto its feature gradients, which fixes the order in
+    which each target's gradient terms are summed."""
+    g_src, g_fused_pts, g_conf = weighted_svd_backward(cache["svd"], g_rot, g_trans)
+    g_fused_desc = confidence.backward(cache["conf"], g_conf)
+    g_weights, g_cand_pts, g_cand_desc = fuse_candidates_backward(
+        cache["weights"], cache["cand_pts"], cache["cand_desc"],
+        g_fused_pts, g_fused_desc)
+    return g_weights, g_src, g_cand_pts, g_cand_desc
+
+
+# ---------------------------------------------------------------------------
 # Differentiable coarse head and full coarse registration
 
 
@@ -328,56 +336,75 @@ class CoarseDiagnostics:
 
 
 def coarse_head_forward(src: FeatureSet, tgt: FeatureSet, cand_idx: np.ndarray,
-                        predictor: CandidatePredictor, confidence: ConfidenceHead,
+                        predictor: nnet.CBRStack, confidence: ConfidenceHead,
                         train: bool):
-    """Features -> weights -> fusion -> confidence -> weighted SVD.
+    """Features -> predicted weights -> decode chain.
 
     Operates on already purified feature sets with a fixed candidate index
-    matrix; returns (transform, correspondences, cache).
+    matrix; returns (transform, per-point confidences, cache).
     """
-    features, feat_cache = assemble_candidate_features(src, tgt, cand_idx,
-                                                       with_similarity=True)
-    weights, pred_cache = predict_candidate_weights(predictor, features, train)
-    cand_pts = tgt.points[cand_idx]
-    cand_desc = tgt.descriptors[cand_idx]
-    fused_pts, fused_desc = fuse_candidates(weights, cand_pts, cand_desc)
-    conf, conf_cache = confidence.forward(fused_desc)
-    transform, svd_cache = weighted_svd_forward(src.points, fused_pts, conf)
-    corr = WeightedCorrespondences(fused_pts, fused_desc, weights, conf)
-    cache = {"feat": feat_cache, "pred": pred_cache, "svd": svd_cache,
-             "weights": weights, "cand_pts": cand_pts, "cand_desc": cand_desc,
-             "cand_idx": cand_idx, "n_tgt": len(tgt), "conf": conf_cache}
-    return transform, corr, cache
+    f_g, geo_cache = geometric_features(src.points, tgt.points, cand_idx)
+    f_d, desc_cache = descriptor_features(src, tgt, cand_idx, with_similarity=True)
+    weights, pred_cache = predict_candidate_weights(predictor, f_g, f_d, train)
+    transform, conf, decode_cache = decode_forward(
+        weights, src.points, tgt.points, tgt.descriptors, cand_idx, confidence)
+    cache = {"geo": geo_cache, "desc": desc_cache, "pred": pred_cache,
+             "decode": decode_cache}
+    return transform, conf, cache
 
 
-def coarse_head_backward(cache, predictor: CandidatePredictor,
+def coarse_head_backward(cache, predictor: nnet.CBRStack,
                          confidence: ConfidenceHead, g_rot, g_trans):
     """Backward through the coarse head; returns gradients w.r.t. the
     purified source/target feature-set arrays."""
-    g_src_svd, g_fused_pts, g_conf = weighted_svd_backward(cache["svd"], g_rot, g_trans)
-    g_fused_desc = confidence.backward(cache["conf"], g_conf)
-    g_weights, g_cand_pts, g_cand_desc = fuse_candidates_backward(
-        cache["weights"], cache["cand_pts"], cache["cand_desc"],
-        g_fused_pts, g_fused_desc)
+    g_weights, g_src_svd, g_cand_pts, g_cand_desc = decode_backward(
+        cache["decode"], confidence, g_rot, g_trans)
     g_geo, g_desc = predict_candidate_weights_backward(predictor, cache["pred"],
                                                        g_weights)
-    (g_src_pts, g_src_desc, g_src_unc,
-     g_tgt_pts, g_tgt_desc, g_tgt_unc) = assemble_candidate_features_backward(
-        cache["feat"], g_geo, g_desc)
-    g_src_pts += g_src_svd
-    cand_idx = cache["cand_idx"]
-    np.add.at(g_tgt_pts, cand_idx.reshape(-1), g_cand_pts.reshape(-1, 3))
-    np.add.at(g_tgt_desc, cand_idx.reshape(-1),
-              g_cand_desc.reshape(-1, g_cand_desc.shape[-1]))
-    return (g_src_pts, g_src_desc, g_src_unc), (g_tgt_pts, g_tgt_desc, g_tgt_unc)
+    g_src_pts, g_tgt_pts = geometric_features_backward(cache["geo"], g_geo)
+    g_src_desc, g_src_unc, g_tgt_desc, g_tgt_unc = descriptor_features_backward(
+        cache["desc"], g_desc)
+    cand_idx = cache["decode"]["cand_idx"]
+    scatter_candidates(g_tgt_pts, cand_idx, g_cand_pts)
+    scatter_candidates(g_tgt_desc, cand_idx, g_cand_desc)
+    return ((g_src_pts + g_src_svd, g_src_desc, g_src_unc),
+            (g_tgt_pts, g_tgt_desc, g_tgt_unc))
 
 
 def purify(fs: FeatureSet, mask: np.ndarray) -> FeatureSet:
     return FeatureSet(fs.points[mask], fs.descriptors[mask], fs.uncertainties[mask])
 
 
+def purified_candidates(src_coarse: FeatureSet, tgt_coarse: FeatureSet, *,
+                        gmm_components: int, bgmm_topk: int, candidates: int,
+                        seed: int):
+    """The coarse front half after the backbone: a GMM fit per side,
+    bidirectional outlier rejection, purification, and descriptor-space KNN
+    candidates. Inference and training share it; they differ only in the
+    backbone mode that produced the coarse superpoints.
+
+    Returns (src_pure, tgt_pure, (src_mask, tgt_mask), cand_idx).
+    """
+    src_model = bgmm.fit_gmm(src_coarse.points, gmm_components, seed=seed)
+    tgt_model = bgmm.fit_gmm(tgt_coarse.points, gmm_components, seed=seed)
+    _, _, src_mask, tgt_mask = bgmm.remove_outliers(
+        src_model, src_coarse.points, tgt_model, tgt_coarse.points,
+        k=bgmm_topk, min_points=max(3, candidates))
+    src_pure = purify(src_coarse, src_mask)
+    tgt_pure = purify(tgt_coarse, tgt_mask)
+    # Rejection keeps max(3, K) points per side, so this guard fires only
+    # when the input has fewer than max(3, K) coarse superpoints.
+    if len(src_pure) < 3 or len(tgt_pure) < candidates:
+        raise DegeneracyError(
+            f"coarse: {len(src_pure)} source and {len(tgt_pure)} target "
+            f"superpoints left; need at least 3 and k={candidates}")
+    cand_idx = knn_search(src_pure.descriptors, tgt_pure.descriptors,
+                          candidates).indices
+    return src_pure, tgt_pure, (src_mask, tgt_mask), cand_idx
+
+
 def coarse_register(src_cloud, tgt_cloud, backbone: Backbone,
-                    predictor: CandidatePredictor, confidence: ConfidenceHead,
+                    predictor: nnet.CBRStack, confidence: ConfidenceHead,
                     *, gmm_components: int = 8, bgmm_topk: int = 2,
                     candidates: int = 3, seed: int = 0):
     """Full coarse stage on raw clouds (inference mode).
@@ -387,31 +414,17 @@ def coarse_register(src_cloud, tgt_cloud, backbone: Backbone,
     """
     src_out = backbone.forward(src_cloud, seed=seed, train=False)
     tgt_out = backbone.forward(tgt_cloud, seed=seed, train=False)
-
-    src_model = bgmm.fit_gmm(src_out.coarse.points, gmm_components, seed=seed)
-    tgt_model = bgmm.fit_gmm(tgt_out.coarse.points, gmm_components, seed=seed)
-    _, _, src_mask, tgt_mask = bgmm.remove_outliers(
-        src_model, src_out.coarse.points, tgt_model, tgt_out.coarse.points,
-        k=bgmm_topk, min_points=max(3, candidates))
-    src_pure = purify(src_out.coarse, src_mask)
-    tgt_pure = purify(tgt_out.coarse, tgt_mask)
-
-    # Rejection keeps max(3, K) points per side, so this guard and the SVD's
-    # three-point minimum fire only when the input has fewer than max(3, K)
-    # coarse superpoints.
-    if candidates > len(tgt_pure):
-        raise DegeneracyError(
-            f"coarse: only {len(tgt_pure)} purified targets for k={candidates}")
-    neighbors = knn_search(src_pure.descriptors, tgt_pure.descriptors, candidates)
+    src_pure, tgt_pure, masks, cand_idx = purified_candidates(
+        src_out.coarse, tgt_out.coarse, gmm_components=gmm_components,
+        bgmm_topk=bgmm_topk, candidates=candidates, seed=seed)
     try:
-        transform, corr, _ = coarse_head_forward(
-            src_pure, tgt_pure, neighbors.indices, predictor, confidence,
-            train=False)
+        transform, conf, _ = coarse_head_forward(
+            src_pure, tgt_pure, cand_idx, predictor, confidence, train=False)
     except DegeneracyError as exc:
         raise DegeneracyError(f"coarse: {exc}") from exc
 
     diag = CoarseDiagnostics(
-        src_total=len(src_out.coarse), src_kept=int(src_mask.sum()),
-        tgt_total=len(tgt_out.coarse), tgt_kept=int(tgt_mask.sum()),
-        mean_confidence=float(corr.confidences.mean()))
-    return transform, diag, src_out, tgt_out, (src_mask, tgt_mask)
+        src_total=len(src_out.coarse), src_kept=int(masks[0].sum()),
+        tgt_total=len(tgt_out.coarse), tgt_kept=int(masks[1].sum()),
+        mean_confidence=float(conf.mean()))
+    return transform, diag, src_out, tgt_out, masks

@@ -1,10 +1,14 @@
 """Correspondence diffusion for the fine registration stage.
 
 The denoiser predicts a clean local correspondence matrix from its noised
-version plus geometric/descriptor conditioning. Inference is autoregressive:
-each retained diffusion step decodes a rigid transform, composes it onto the
-accumulated history, re-warps the source, and DDIM-steps the correspondence.
-Ground-truth correspondences come from a Sinkhorn-refined distance matrix.
+version plus geometric/descriptor conditioning, built by the candidate
+feature functions of ``coarse`` (the descriptor block without the similarity
+channel). Inference is autoregressive: each retained diffusion step turns
+the correspondence into candidate weights, runs the correspondence head's
+decode chain (``coarse.decode_forward``: fusion, confidence, weighted SVD)
+to get a rigid transform, composes it onto the accumulated history,
+re-warps the source, and DDIM-steps the correspondence. Ground-truth
+correspondences come from a Sinkhorn-refined distance matrix.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import numpy as np
 
 from . import nnet
 from .backbone import FeatureSet
-from .coarse import (ConfidenceHead, DegeneracyError, fuse_candidates,
-                     fuse_candidates_backward, weighted_svd_backward,
-                     weighted_svd_forward)
-from .geometry import (NeighborSet, RigidTransform, apply_transform, compose,
-                       knn_search)
+from .coarse import (ConfidenceHead, DegeneracyError, decode_backward,
+                     decode_forward, descriptor_features, geometric_features,
+                     scatter_candidates)
+from .geometry import (RigidTransform, apply_transform, compose, knn_search,
+                       transform_errors)
 
 TIME_EMBED_DIM = 16
 DENOISER_WIDTHS = (64, 64, 32)
@@ -47,8 +51,12 @@ class NoiseSchedule:
     ``alpha_bars[0] = 1`` so step 0 recovers the clean signal exactly."""
 
     betas: np.ndarray       # (T,), betas[i] is beta_{i+1}
-    alphas: np.ndarray      # (T,)
     alpha_bars: np.ndarray  # (T + 1,)
+
+    @classmethod
+    def from_betas(cls, betas) -> "NoiseSchedule":
+        betas = np.array(betas, dtype=np.float64)
+        return cls(betas, np.concatenate([[1.0], np.cumprod(1.0 - betas)]))
 
     @property
     def n_steps(self) -> int:
@@ -61,10 +69,7 @@ def make_schedule(n_steps: int = 1000, beta_start: float = 1e-4,
         raise ValueError("schedule needs at least one step")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError("betas must satisfy 0 < beta_start <= beta_end < 1")
-    betas = np.linspace(beta_start, beta_end, n_steps)
-    alphas = 1.0 - betas
-    alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
-    return NoiseSchedule(betas, alphas, alpha_bars)
+    return NoiseSchedule.from_betas(np.linspace(beta_start, beta_end, n_steps))
 
 
 def q_sample(schedule: NoiseSchedule, c0: np.ndarray, t: int,
@@ -105,11 +110,6 @@ def ddim_step(schedule: NoiseSchedule, c_t: np.ndarray, c0_hat: np.ndarray,
 # Sinkhorn optimal transport and ground-truth correspondences
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = a.max(axis=axis, keepdims=True)
-    return (peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
 def sinkhorn(cost: np.ndarray, reg: float = 0.1, iters: int = 100) -> np.ndarray:
     """Entropic OT plan with uniform marginals (1/N rows, 1/M columns),
     computed by log-domain alternating scaling."""
@@ -124,8 +124,8 @@ def sinkhorn(cost: np.ndarray, reg: float = 0.1, iters: int = 100) -> np.ndarray
     f = np.zeros(n)
     g = np.zeros(m)
     for _ in range(iters):
-        f = reg * (log_r - _logsumexp((g[None, :] - cost) / reg, axis=1))
-        g = reg * (log_c - _logsumexp((f[:, None] - cost) / reg, axis=0))
+        f = reg * (log_r - nnet.logsumexp((g[None, :] - cost) / reg, axis=1))
+        g = reg * (log_c - nnet.logsumexp((f[:, None] - cost) / reg, axis=0))
     return np.exp((f[:, None] + g[None, :] - cost) / reg)
 
 
@@ -151,7 +151,7 @@ def build_gt_correspondence(src_pts: np.ndarray, tgt_pts: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Conditioning features
+# Time conditioning
 
 
 def time_embedding(t: int, n_steps: int, dim: int = TIME_EMBED_DIM) -> np.ndarray:
@@ -164,78 +164,19 @@ def time_embedding(t: int, n_steps: int, dim: int = TIME_EMBED_DIM) -> np.ndarra
     return emb
 
 
-def fine_geometric_features(warped_src: np.ndarray, tgt_pts: np.ndarray,
-                            cand_idx: np.ndarray):
-    """Geometric conditioning rows for the current warp: (N, K, 10)."""
-    cand_pts = tgt_pts[cand_idx]
-    diff = warped_src[:, None, :] - cand_pts
-    norms = np.linalg.norm(diff, axis=-1)
-    f_g = np.concatenate(
-        [np.broadcast_to(warped_src[:, None, :], cand_pts.shape),
-         cand_pts, diff, norms[..., None]], axis=-1)
-    cache = {"diff": diff, "norms": norms, "cand_idx": cand_idx,
-             "n_tgt": len(tgt_pts)}
-    return f_g, cache
-
-
-def fine_geometric_features_backward(cache, g_f_g: np.ndarray):
-    diff, norms = cache["diff"], cache["norms"]
-    g_warped = g_f_g[..., 0:3].sum(axis=1)
-    g_cand = g_f_g[..., 3:6].copy()
-    g_diff = g_f_g[..., 6:9].copy()
-    g_diff += g_f_g[..., 9:10] * diff / np.maximum(norms, 1e-12)[..., None]
-    g_warped += g_diff.sum(axis=1)
-    g_cand -= g_diff
-    g_tgt = np.zeros((cache["n_tgt"], 3))
-    np.add.at(g_tgt, cache["cand_idx"].reshape(-1), g_cand.reshape(-1, 3))
-    return g_warped, g_tgt
-
-
-def fine_descriptor_features(src: FeatureSet, tgt: FeatureSet,
-                             cand_idx: np.ndarray) -> np.ndarray:
-    """Descriptor conditioning (similarity channel dropped): (N, K, 2C+2)."""
-    n, k = cand_idx.shape
-    cand_desc = tgt.descriptors[cand_idx]
-    return np.concatenate(
-        [np.broadcast_to(src.descriptors[:, None, :], cand_desc.shape),
-         cand_desc,
-         np.broadcast_to(src.uncertainties[:, None, None], (n, k, 1)),
-         tgt.uncertainties[cand_idx][..., None]], axis=-1)
-
-
-def fine_descriptor_features_backward(g_f_d: np.ndarray, c: int,
-                                      cand_idx: np.ndarray, n_tgt: int):
-    g_src_desc = g_f_d[..., 0:c].sum(axis=1)
-    g_src_unc = g_f_d[..., 2 * c].sum(axis=1)
-    g_tgt_desc = np.zeros((n_tgt, c))
-    np.add.at(g_tgt_desc, cand_idx.reshape(-1),
-              g_f_d[..., c:2 * c].reshape(-1, c))
-    g_tgt_unc = np.zeros(n_tgt)
-    np.add.at(g_tgt_unc, cand_idx.reshape(-1), g_f_d[..., 2 * c + 1].reshape(-1))
-    return g_src_desc, g_src_unc, g_tgt_desc, g_tgt_unc
-
-
 # ---------------------------------------------------------------------------
 # Denoiser
 
 
-class Denoiser:
-    """Per-candidate CBR stack predicting the denoised correspondence entry."""
-
-    def __init__(self, descriptor_dim: int, rng: np.random.Generator,
-                 widths: tuple[int, ...] = DENOISER_WIDTHS):
-        self.descriptor_dim = descriptor_dim
-        self.in_dim = 1 + TIME_EMBED_DIM + 10 + (2 * descriptor_dim + 2)
-        self.stack = nnet.CBRStack(self.in_dim, widths, 1, rng)
-
-    def named_params(self, prefix: str):
-        yield from self.stack.named_params(prefix)
-
-    def named_buffers(self, prefix: str):
-        yield from self.stack.named_buffers(prefix)
+def make_denoiser(descriptor_dim: int, rng: np.random.Generator) -> nnet.CBRStack:
+    """Per-candidate CBR stack predicting the denoised correspondence entry
+    from c_t, the time embedding, and the geometric (10) and descriptor
+    (2C + 2) conditioning."""
+    in_dim = 1 + TIME_EMBED_DIM + 10 + (2 * descriptor_dim + 2)
+    return nnet.CBRStack(in_dim, DENOISER_WIDTHS, 1, rng)
 
 
-def denoiser_forward(denoiser: Denoiser, c_t: np.ndarray, t: int, n_steps: int,
+def denoiser_forward(denoiser: nnet.CBRStack, c_t: np.ndarray, t: int, n_steps: int,
                      f_g: np.ndarray, f_d: np.ndarray, train: bool):
     """Predict the clean correspondence matrix from its noised version."""
     n, k = c_t.shape
@@ -249,16 +190,16 @@ def denoiser_forward(denoiser: Denoiser, c_t: np.ndarray, t: int, n_steps: int,
          np.broadcast_to(emb, (n * k, TIME_EMBED_DIM)),
          f_g.reshape(n * k, -1),
          f_d.reshape(n * k, -1)], axis=1)
-    out, stack_cache = denoiser.stack.forward(rows, train)
+    out, stack_cache = denoiser.forward(rows, train)
     c0_hat = out.reshape(n, k)
     cache = {"shape": (n, k), "gd": f_g.shape[-1], "dd": f_d.shape[-1],
              "stack": stack_cache}
     return c0_hat, cache
 
 
-def denoiser_backward(denoiser: Denoiser, cache, g_c0_hat: np.ndarray):
+def denoiser_backward(denoiser: nnet.CBRStack, cache, g_c0_hat: np.ndarray):
     n, k = cache["shape"]
-    g_rows = denoiser.stack.backward(cache["stack"], g_c0_hat.reshape(n * k, 1))
+    g_rows = denoiser.backward(cache["stack"], g_c0_hat.reshape(n * k, 1))
     g_ct = g_rows[:, 0].reshape(n, k)
     start = 1 + TIME_EMBED_DIM
     g_f_g = g_rows[:, start:start + cache["gd"]].reshape(n, k, cache["gd"])
@@ -271,42 +212,30 @@ def denoiser_backward(denoiser: Denoiser, cache, g_c0_hat: np.ndarray):
 
 
 def correspondence_to_transform(c0_hat: np.ndarray, warped_src: np.ndarray,
-                                neighbors: NeighborSet | np.ndarray,
-                                tgt_pts: np.ndarray, tgt_desc: np.ndarray,
-                                confidence: ConfidenceHead,
+                                cand_idx: np.ndarray, tgt_pts: np.ndarray,
+                                tgt_desc: np.ndarray, confidence: ConfidenceHead,
                                 temperature: float = DECODE_TEMPERATURE):
-    """Softmax-decode the correspondence, fuse candidates, score confidence,
-    and solve the weighted SVD against the current warped source."""
-    cand_idx = neighbors.indices if isinstance(neighbors, NeighborSet) else neighbors
+    """Softmax-decode the correspondence into candidate weights and run the
+    shared decode chain against the current warped source."""
     unscaled = (c0_hat + 1.0) / 2.0
     weights = nnet.softmax_rows(unscaled / temperature)
-    cand_pts = tgt_pts[cand_idx]
-    cand_desc = tgt_desc[cand_idx]
-    fused_pts, fused_desc = fuse_candidates(weights, cand_pts, cand_desc)
-    conf, conf_cache = confidence.forward(fused_desc)
-    transform, svd_cache = weighted_svd_forward(warped_src, fused_pts, conf)
-    cache = {"weights": weights, "cand_pts": cand_pts, "cand_desc": cand_desc,
-             "cand_idx": cand_idx, "svd": svd_cache, "temperature": temperature,
-             "n_tgt": len(tgt_pts), "conf": conf, "conf_cache": conf_cache}
+    transform, _, cache = decode_forward(weights, warped_src, tgt_pts, tgt_desc,
+                                         cand_idx, confidence)
+    cache["temperature"] = temperature
     return transform, cache
 
 
 def correspondence_to_transform_backward(cache, confidence: ConfidenceHead,
                                          g_rot: np.ndarray, g_trans: np.ndarray):
-    g_warped, g_fused_pts, g_conf = weighted_svd_backward(cache["svd"], g_rot, g_trans)
-    g_fused_desc = confidence.backward(cache["conf_cache"], g_conf)
-    g_weights, g_cand_pts, g_cand_desc = fuse_candidates_backward(
-        cache["weights"], cache["cand_pts"], cache["cand_desc"],
-        g_fused_pts, g_fused_desc)
+    """Returns (g_c0_hat, g_warped_src, g_tgt_pts, g_tgt_desc)."""
+    g_weights, g_warped, g_cand_pts, g_cand_desc = decode_backward(
+        cache, confidence, g_rot, g_trans)
     g_unscaled = nnet.softmax_rows_backward(g_weights, cache["weights"]) / cache["temperature"]
-    g_c0_hat = 0.5 * g_unscaled
-    cand_idx = cache["cand_idx"]
-    g_tgt_pts = np.zeros((cache["n_tgt"], 3))
-    np.add.at(g_tgt_pts, cand_idx.reshape(-1), g_cand_pts.reshape(-1, 3))
-    g_tgt_desc = np.zeros((cache["n_tgt"], g_cand_desc.shape[-1]))
-    np.add.at(g_tgt_desc, cand_idx.reshape(-1),
-              g_cand_desc.reshape(-1, g_cand_desc.shape[-1]))
-    return g_c0_hat, g_warped, g_tgt_pts, g_tgt_desc
+    n_tgt, cand_idx = cache["n_tgt"], cache["cand_idx"]
+    g_tgt_pts = scatter_candidates(np.zeros((n_tgt, 3)), cand_idx, g_cand_pts)
+    g_tgt_desc = scatter_candidates(np.zeros((n_tgt, g_cand_desc.shape[-1])),
+                                    cand_idx, g_cand_desc)
+    return 0.5 * g_unscaled, g_warped, g_tgt_pts, g_tgt_desc
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +269,8 @@ class TraceRow:
     mean_abs_c0: float
 
 
-def _trace_metrics(est: RigidTransform, gt: RigidTransform | None):
-    if gt is None:
-        return float("nan"), float("nan")
-    rte = float(np.linalg.norm(est.translation - gt.translation))
-    cos = np.clip((np.trace(gt.rotation.T @ est.rotation) - 1.0) / 2.0, -1.0, 1.0)
-    return rte, float(np.degrees(np.arccos(cos)))
-
-
 def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
-                         fine_tgt: FeatureSet, denoiser: Denoiser,
+                         fine_tgt: FeatureSet, denoiser: nnet.CBRStack | None,
                          confidence: ConfidenceHead, schedule: NoiseSchedule,
                          k: int, steps: int, seed: int = 0,
                          temperature: float = DECODE_TEMPERATURE,
@@ -370,9 +291,9 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
 
     buffer = TransformBuffer(initial=coarse_tf)
     warped = apply_transform(coarse_tf, src_pts)
-    neighbors = knn_search(warped, tgt_pts, k)
-    f_d = fine_descriptor_features(fine_src, fine_tgt, neighbors.indices)
-    f_g, _ = fine_geometric_features(warped, tgt_pts, neighbors.indices)
+    cand_idx = knn_search(warped, tgt_pts, k).indices
+    f_d, _ = descriptor_features(fine_src, fine_tgt, cand_idx, with_similarity=False)
+    f_g, _ = geometric_features(warped, tgt_pts, cand_idx)
 
     c_t = rng.standard_normal(size=(len(src_pts), k))
     timesteps = ddim_timesteps(schedule.n_steps, steps)
@@ -390,14 +311,15 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
                              "steps_done": len(buffer.steps)})
         try:
             step_tf, _ = correspondence_to_transform(
-                c0_hat, warped, neighbors, tgt_pts, fine_tgt.descriptors,
+                c0_hat, warped, cand_idx, tgt_pts, fine_tgt.descriptors,
                 confidence, temperature)
         except DegeneracyError as exc:
             raise DegeneracyError(f"fine step t={int(t)}: {exc}") from exc
         buffer.push(step_tf)
         warped = apply_transform(buffer.final, src_pts)
-        f_g, _ = fine_geometric_features(warped, tgt_pts, neighbors.indices)
-        rte, rre = _trace_metrics(buffer.final, gt)
+        f_g, _ = geometric_features(warped, tgt_pts, cand_idx)
+        rte, rre = (transform_errors(buffer.final, gt) if gt is not None
+                    else (float("nan"), float("nan")))
         trace.append(TraceRow(int(t), rte, rre, float(np.abs(c0_hat).mean())))
         c_t = ddim_step(schedule, c_t, c0_hat, int(t), int(t_prev), sigma=0.0)
     return buffer.final, buffer, trace

@@ -83,6 +83,13 @@ def invert(t: RigidTransform) -> RigidTransform:
     return RigidTransform(rot, -rot @ t.translation)
 
 
+def transform_errors(est: RigidTransform, gt: RigidTransform) -> tuple[float, float]:
+    """Translation error (RTE, meters) and rotation angle error (RRE, degrees)."""
+    rte = float(np.linalg.norm(est.translation - gt.translation))
+    cos = np.clip((np.trace(gt.rotation.T @ est.rotation) - 1.0) / 2.0, -1.0, 1.0)
+    return rte, float(np.degrees(np.arccos(cos)))
+
+
 def apply_transform(t: RigidTransform, cloud) -> np.ndarray:
     pts = as_points(cloud)
     return pts @ t.rotation.T + t.translation

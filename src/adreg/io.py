@@ -8,6 +8,7 @@ partially and silently.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,16 @@ class FormatError(ValueError):
 
 class CheckpointError(FormatError):
     pass
+
+
+def _read_text(path, encoding: str) -> str:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}: line {line}: byte {exc.start} is not "
+                          f"valid {encoding}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +79,9 @@ def write_ply(path, cloud) -> None:
 
 
 def read_ply(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = _read_text(path, "ascii").splitlines()
     n_vertex = None
+    element = None
     properties: list[str] = []
     body_start = None
     if not lines or lines[0].strip() != "ply":
@@ -84,12 +96,20 @@ def read_ply(path) -> np.ndarray:
                 raise FormatError(f"{path}: line {i}: only 'format ascii 1.0' is supported")
             saw_format = True
         elif tokens[0] == "element":
-            if tokens[1] == "vertex":
-                n_vertex = int(tokens[2])
-            elif int(tokens[2]) > 0:
+            try:
+                count = int(tokens[2]) if len(tokens) == 3 else -1
+            except ValueError:
+                count = -1
+            if count < 0:
+                raise FormatError(f"{path}: line {i}: expected 'element <name> <count>' "
+                                  "with a nonnegative integer count")
+            element = tokens[1]
+            if element == "vertex":
+                n_vertex = count
+            elif count > 0:
                 raise FormatError(f"{path}: line {i}: unsupported element '{tokens[1]}'")
         elif tokens[0] == "property":
-            if n_vertex is not None:
+            if element == "vertex":
                 properties.append(tokens[-1])
         elif tokens[0] == "end_header":
             body_start = i
@@ -120,7 +140,9 @@ def read_ply(path) -> np.ndarray:
             pts[row] = [float(tokens[c]) for c in cols]
         except ValueError as exc:
             raise FormatError(f"{path}: line {body_start + row + 1}: {exc}") from None
-    return as_points(pts)
+        if not np.isfinite(pts[row]).all():
+            raise FormatError(f"{path}: line {body_start + row + 1}: non-finite coordinate")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +164,7 @@ def orthonormalize_rotation(m: np.ndarray) -> np.ndarray:
 
 def read_pose_file(path) -> list[PoseRecord]:
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, "utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         tokens = line.split()
@@ -152,8 +174,13 @@ def read_pose_file(path) -> list[PoseRecord]:
             vals = np.array([float(t) for t in tokens]).reshape(3, 4)
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
-        rot = orthonormalize_rotation(vals[:, :3])
-        records.append(PoseRecord(len(records), RigidTransform(rot, vals[:, 3])))
+        if not np.isfinite(vals).all():
+            raise FormatError(f"{path}: line {lineno}: non-finite value")
+        try:
+            transform = RigidTransform(orthonormalize_rotation(vals[:, :3]), vals[:, 3])
+        except ValueError as exc:  # np.linalg.LinAlgError included
+            raise FormatError(f"{path}: line {lineno}: no rotation: {exc}") from None
+        records.append(PoseRecord(len(records), transform))
     return records
 
 
@@ -174,7 +201,6 @@ class RunConfig:
 
     voxel_size: float = 0.3
     sample_count: int = 16384
-    frame_interval: int = 10
     gmm_components: int = 8          # J
     bgmm_topk: int = 2               # k of the bidirectional rejection rule
     candidates: int = 3              # K, both stages
@@ -205,7 +231,7 @@ class RunConfig:
     decode_temperature: float = 0.025
 
     _POSITIVE_COUNTS = (
-        "sample_count", "frame_interval", "gmm_components", "bgmm_topk",
+        "sample_count", "gmm_components", "bgmm_topk",
         "candidates", "sampling_steps", "diffusion_steps", "lr_decay_every",
         "train_points", "train_pairs", "val_pairs", "batch_size", "epochs",
         "sinkhorn_iters",
@@ -221,6 +247,9 @@ class RunConfig:
                      "max_rot_deg", "max_trans"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config {name} must be >= 0")
+        for f in dataclasses.fields(self):
+            if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"config {f.name} must be finite")
         for name in ("voxel_size", "learning_rate", "lr_decay", "sinkhorn_reg",
                      "decode_temperature", "backbone_scale"):
             if getattr(self, name) <= 0:
@@ -315,7 +344,11 @@ def load_checkpoint(path) -> Checkpoint:
         offset += 4
         if offset + name_len + 8 > len(data):
             raise CheckpointError(f"{path}: truncated record at byte {offset}")
-        name = data[offset:offset + name_len].decode("utf-8")
+        try:
+            name = data[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"{path}: tensor name at byte {offset} is not valid UTF-8") from None
         offset += name_len
         (count,) = struct.unpack_from("<Q", data, offset)
         offset += 8

@@ -141,6 +141,12 @@ def sigmoid_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
     return grad_out * y * (1.0 - y)
 
 
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum for stability."""
+    peak = a.max(axis=axis, keepdims=True)
+    return (peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction for stability."""
     shifted = m - m.max(axis=-1, keepdims=True)

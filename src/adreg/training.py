@@ -11,19 +11,20 @@ parameters; ground-truth correspondences are supervision constants.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import bgmm, coarse, diffusion
-from .backbone import Backbone, FeatureSet
-from .coarse import (CandidatePredictor, ConfidenceHead, DegeneracyError,
-                     coarse_head_backward, coarse_head_forward, purify)
+from . import coarse, diffusion
+from .backbone import Backbone
+from .coarse import (ConfidenceHead, DegeneracyError, coarse_head_backward,
+                     coarse_head_forward, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
-                       knn_search, random_rigid_transform, voxel_downsample)
-from .io import Checkpoint, RunConfig, load_config
+                       random_rigid_transform, transform_errors, voxel_downsample)
+from .io import Checkpoint, RunConfig
 from .nnet import Adam, Param
 
 OUTLIER_MIN_RADIUS = 20.0
@@ -186,31 +187,26 @@ class RegistrationModel:
         self.backbone = Backbone(streams[0], scale=config.backbone_scale)
         coarse_dim = self.backbone.configs[2].widths[-1]
         fine_dim = self.backbone.configs[1].widths[-1]
-        self.predictor = CandidatePredictor(coarse_dim, streams[1])
+        self.predictor = coarse.make_predictor(coarse_dim, streams[1])
         self.coarse_confidence = ConfidenceHead(coarse_dim, streams[2])
-        self.denoiser = diffusion.Denoiser(fine_dim, streams[3])
+        self.denoiser = diffusion.make_denoiser(fine_dim, streams[3])
         self.fine_confidence = ConfidenceHead(fine_dim, streams[4])
         self.schedule = diffusion.make_schedule(
             config.diffusion_steps, config.beta_start, config.beta_end)
 
+    def _modules(self):
+        """(prefix, module) pairs in checkpoint order."""
+        return (("backbone", self.backbone), ("predictor", self.predictor),
+                ("coarse_confidence", self.coarse_confidence),
+                ("denoiser", self.denoiser), ("fine_confidence", self.fine_confidence))
+
     def named_params(self) -> dict[str, Param]:
-        out: dict[str, Param] = {}
-        for name, p in self.backbone.named_params("backbone"):
-            out[name] = p
-        for name, p in self.predictor.named_params("predictor"):
-            out[name] = p
-        for name, p in self.coarse_confidence.named_params("coarse_confidence"):
-            out[name] = p
-        for name, p in self.denoiser.named_params("denoiser"):
-            out[name] = p
-        for name, p in self.fine_confidence.named_params("fine_confidence"):
-            out[name] = p
-        return out
+        return {name: p for prefix, module in self._modules()
+                for name, p in module.named_params(prefix)}
 
     def _buffer_modules(self):
-        yield from self.backbone.named_buffers("backbone")
-        yield from self.predictor.named_buffers("predictor")
-        yield from self.denoiser.named_buffers("denoiser")
+        for prefix, module in self._modules():
+            yield from module.named_buffers(prefix)
 
     def zero_grads(self):
         for p in self.named_params().values():
@@ -231,8 +227,6 @@ class RegistrationModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "RegistrationModel":
-        import dataclasses
-
         kwargs = {}
         for f in dataclasses.fields(RunConfig):
             key = f"config.{f.name}"
@@ -255,9 +249,7 @@ class RegistrationModel:
                 buf[...] = ckpt.tensors[key].reshape(buf.shape)
         betas = ckpt.tensors.get("schedule.betas")
         if betas is not None:
-            alphas = 1.0 - betas
-            model.schedule = diffusion.NoiseSchedule(
-                betas.copy(), alphas, np.concatenate([[1.0], np.cumprod(alphas)]))
+            model.schedule = diffusion.NoiseSchedule.from_betas(betas)
         return model
 
     def make_optimizer(self) -> Adam:
@@ -306,20 +298,9 @@ def make_step_context(model: RegistrationModel, pair: SyntheticPair,
                                      want_cache=True)
     tgt_out = model.backbone.forward(pair.target, seed=cfg.seed, train=True,
                                      want_cache=True)
-
-    src_model = bgmm.fit_gmm(src_out.coarse.points, cfg.gmm_components, seed=cfg.seed)
-    tgt_model = bgmm.fit_gmm(tgt_out.coarse.points, cfg.gmm_components, seed=cfg.seed)
-    _, _, src_mask, tgt_mask = bgmm.remove_outliers(
-        src_model, src_out.coarse.points, tgt_model, tgt_out.coarse.points,
-        k=cfg.bgmm_topk, min_points=max(3, cfg.candidates))
-    src_pure = purify(src_out.coarse, src_mask)
-    tgt_pure = purify(tgt_out.coarse, tgt_mask)
-    # Fires only when the input has fewer than max(3, K) coarse superpoints:
-    # rejection keeps at least that many per side.
-    if len(src_pure) < 3 or len(tgt_pure) < cfg.candidates:
-        raise DegeneracyError("purified coarse sets too small for training step")
-    coarse_cand = knn_search(src_pure.descriptors, tgt_pure.descriptors,
-                             cfg.candidates).indices
+    _, _, (src_mask, tgt_mask), coarse_cand = purified_candidates(
+        src_out.coarse, tgt_out.coarse, gmm_components=cfg.gmm_components,
+        bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
 
     c_gt, fine_neighbors = diffusion.build_gt_correspondence(
         src_out.fine.points, tgt_out.fine.points, pair.transform,
@@ -360,10 +341,10 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
         model.coarse_confidence, train)
 
     warped = apply_transform(ctx.gt, src_out.fine.points)
-    f_g, fg_cache = diffusion.fine_geometric_features(
+    f_g, fg_cache = coarse.geometric_features(
         warped, tgt_out.fine.points, ctx.fine_cand_idx)
-    f_d = diffusion.fine_descriptor_features(src_out.fine, tgt_out.fine,
-                                             ctx.fine_cand_idx)
+    f_d, fd_cache = coarse.descriptor_features(
+        src_out.fine, tgt_out.fine, ctx.fine_cand_idx, with_similarity=False)
     c0_hat, den_cache = diffusion.denoiser_forward(
         model.denoiser, ctx.c_t, ctx.t, model.schedule.n_steps, f_g, f_d, train)
     step_tf, c2t_cache = diffusion.correspondence_to_transform(
@@ -403,11 +384,10 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
         c2t_cache, model.fine_confidence, g_step_rot, g_step_trans)
     g_c0 = g_c0 + s * grads["c0_hat"]
     _, g_f_g, g_f_d = diffusion.denoiser_backward(model.denoiser, den_cache, g_c0)
-    g_warped2, g_tgt_fp2 = diffusion.fine_geometric_features_backward(fg_cache, g_f_g)
+    g_warped2, g_tgt_fp2 = coarse.geometric_features_backward(fg_cache, g_f_g)
     g_src_fp = (g_warped + g_warped2) @ ctx.gt.rotation
-    fine_c = src_out.fine.descriptors.shape[1]
-    g_src_fd, g_src_fu, g_tgt_fd2, g_tgt_fu = diffusion.fine_descriptor_features_backward(
-        g_f_d, fine_c, ctx.fine_cand_idx, len(tgt_out.fine))
+    g_src_fd, g_src_fu, g_tgt_fd2, g_tgt_fu = coarse.descriptor_features_backward(
+        fd_cache, g_f_d)
 
     model.backbone.backward(src_out, g_coarse=g_coarse_src,
                             g_fine=(g_src_fp, g_src_fd, g_src_fu))
@@ -595,12 +575,9 @@ def _validate(model: RegistrationModel, val_pairs) -> tuple[float, float]:
                                    seed=model.config.seed)
         except (DegeneracyError, diffusion.NumericalError):
             continue
-        rte = float(np.linalg.norm(result.transform.translation
-                                   - pair.transform.translation))
-        cos = np.clip((np.trace(pair.transform.rotation.T
-                                @ result.transform.rotation) - 1) / 2, -1, 1)
+        rte, rre = transform_errors(result.transform, pair.transform)
         rtes.append(rte)
-        rres.append(float(np.degrees(np.arccos(cos))))
+        rres.append(rre)
     if not rtes:
         return float("nan"), float("nan")
     return float(np.mean(rtes)), float(np.mean(rres))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreg import bgmm
 
@@ -208,3 +210,28 @@ class TestMinimumSupport:
         np.testing.assert_array_equal(ms3, ms)
         np.testing.assert_array_equal(mt3, mt)
         assert not ms.all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_support_invariant_holds_for_any_mixture(self, data):
+        # Arbitrary component layouts, some components empty: each side
+        # keeps at least min(min_points, len(cloud)) points.
+        def side(tag):
+            j = data.draw(st.integers(1, 6), label=f"{tag} components")
+            means = np.array(data.draw(st.lists(
+                st.tuples(*[st.floats(-100, 100)] * 3), min_size=j, max_size=j),
+                label=f"{tag} means"))
+            assignments = np.array(data.draw(st.lists(
+                st.integers(0, j - 1), min_size=1, max_size=30),
+                label=f"{tag} assignments"), dtype=np.int64)
+            model = bgmm.GmmModel(np.full(j, 1.0 / j), means,
+                                  np.stack([np.eye(3)] * j), assignments)
+            return means[assignments], model
+
+        src, sm = side("source")
+        tgt, tm = side("target")
+        k = data.draw(st.integers(1, min(sm.n_components, tm.n_components)), label="k")
+        m = data.draw(st.integers(1, 40), label="min_points")
+        _, _, ms, mt = bgmm.remove_outliers(sm, src, tm, tgt, k=k, min_points=m)
+        assert ms.sum() >= min(m, len(src))
+        assert mt.sum() >= min(m, len(tgt))

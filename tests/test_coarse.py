@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adreg import coarse, geometry, nnet
 from adreg.backbone import Backbone, FeatureSet
@@ -31,6 +33,24 @@ class TestWeightedSvd:
             est = coarse.weighted_svd(src, tgt, w)
             assert np.abs(est.rotation - gt.rotation).max() < 1e-9
             assert np.abs(est.translation - gt.translation).max() < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 40),
+           scale=st.floats(0.01, 100.0), angle=st.floats(0.0, 180.0),
+           axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           trans=st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+    def test_recovers_random_transforms_property(self, seed, n, scale, angle, axis, trans):
+        assume(np.linalg.norm(axis) > 1e-3)
+        rng = np.random.default_rng(seed)
+        src = rng.normal(size=(n, 3)) * scale
+        w = rng.uniform(0.05, 1.0, n)
+        # Non-degenerate: the weighted source spans at least a plane.
+        sing = np.linalg.svd(src - w @ src / w.sum(), compute_uv=False)
+        assume(sing[1] > 1e-2 * sing[0])
+        gt = RigidTransform(geometry.rotation_about_axis(axis, angle), np.array(trans))
+        est = coarse.weighted_svd(src, geometry.apply_transform(gt, src), w)
+        assert np.abs(est.rotation - gt.rotation).max() < 1e-9
+        assert np.abs(est.translation - gt.translation).max() < 1e-9 * (1 + scale)
 
     def test_reflection_trap_returns_rotation(self):
         rng = np.random.default_rng(2)
@@ -124,66 +144,74 @@ class TestWeightedSvd:
         assert err < 1e-5
 
 
+def candidate_features(src, tgt, k):
+    """Descriptor-space KNN candidates and both coarse feature blocks."""
+    cand_idx = geometry.knn_search(src.descriptors, tgt.descriptors, k).indices
+    f_g, _ = coarse.geometric_features(src.points, tgt.points, cand_idx)
+    f_d, _ = coarse.descriptor_features(src, tgt, cand_idx, with_similarity=True)
+    return f_g, f_d, cand_idx
+
+
 class TestCandidateFeatures:
     def test_self_match(self):
         rng = np.random.default_rng(9)
         fs = random_feature_set(rng, 12, 8)
-        features, neighbors = coarse.build_candidate_features(fs, fs, k=1)
-        assert (neighbors.indices[:, 0] == np.arange(12)).all()
-        np.testing.assert_allclose(features.geometric[:, 0, 6:9], 0.0, atol=1e-12)
-        np.testing.assert_allclose(features.geometric[:, 0, 9], 0.0, atol=1e-12)
-        np.testing.assert_allclose(features.descriptor[:, 0, -1], 1.0, atol=1e-9)
+        f_g, f_d, cand_idx = candidate_features(fs, fs, k=1)
+        assert (cand_idx[:, 0] == np.arange(12)).all()
+        np.testing.assert_allclose(f_g[:, 0, 6:9], 0.0, atol=1e-12)
+        np.testing.assert_allclose(f_g[:, 0, 9], 0.0, atol=1e-12)
+        np.testing.assert_allclose(f_d[:, 0, -1], 1.0, atol=1e-9)
 
     def test_orthogonal_descriptors_zero_similarity(self):
         src = FeatureSet(np.zeros((1, 3)), np.array([[1.0, 0.0]]), np.array([0.5]))
         tgt = FeatureSet(np.ones((1, 3)), np.array([[0.0, 1.0]]), np.array([0.5]))
-        features, _ = coarse.assemble_candidate_features(
-            src, tgt, np.array([[0]]), with_similarity=True)
-        assert abs(features.descriptor[0, 0, -1]) < 1e-12
+        f_d, _ = coarse.descriptor_features(src, tgt, np.array([[0]]),
+                                            with_similarity=True)
+        assert abs(f_d[0, 0, -1]) < 1e-12
 
     def test_norm_channel_consistent(self):
         rng = np.random.default_rng(10)
         src = random_feature_set(rng, 10, 6)
         tgt = random_feature_set(rng, 20, 6)
-        features, _ = coarse.build_candidate_features(src, tgt, k=3)
-        diff = features.geometric[..., 6:9]
-        norms = features.geometric[..., 9]
+        f_g, f_d, _ = candidate_features(src, tgt, k=3)
+        diff = f_g[..., 6:9]
+        norms = f_g[..., 9]
         np.testing.assert_allclose(np.linalg.norm(diff, axis=-1), norms, atol=1e-9)
-        sims = features.descriptor[..., -1]
+        sims = f_d[..., -1]
         assert (sims >= -1 - 1e-9).all() and (sims <= 1 + 1e-9).all()
 
     def test_k_too_large(self):
         rng = np.random.default_rng(11)
         fs = random_feature_set(rng, 5, 4)
         with pytest.raises(ValueError):
-            coarse.build_candidate_features(fs, fs, k=6)
+            candidate_features(fs, fs, k=6)
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError):
-            coarse.build_candidate_features(random_feature_set(rng, 5, 4),
-                                            random_feature_set(rng, 5, 6), k=2)
+            candidate_features(random_feature_set(rng, 5, 4),
+                               random_feature_set(rng, 5, 6), k=2)
 
 
 class TestWeightsAndFusion:
     def test_zeroed_predictor_uniform(self):
         rng = np.random.default_rng(13)
-        pred = coarse.CandidatePredictor(descriptor_dim=6, rng=rng)
-        pred.stack.head.w.value[:] = 0.0
-        pred.stack.head.b.value[:] = 0.0
+        pred = coarse.make_predictor(descriptor_dim=6, rng=rng)
+        pred.head.w.value[:] = 0.0
+        pred.head.b.value[:] = 0.0
         src = random_feature_set(rng, 8, 6)
         tgt = random_feature_set(rng, 16, 6)
-        features, _ = coarse.build_candidate_features(src, tgt, k=4)
-        weights, _ = coarse.predict_candidate_weights(pred, features, train=False)
+        f_g, f_d, _ = candidate_features(src, tgt, k=4)
+        weights, _ = coarse.predict_candidate_weights(pred, f_g, f_d, train=False)
         np.testing.assert_allclose(weights, 0.25, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(14)
-        pred = coarse.CandidatePredictor(descriptor_dim=6, rng=rng)
+        pred = coarse.make_predictor(descriptor_dim=6, rng=rng)
         src = random_feature_set(rng, 8, 6)
         tgt = random_feature_set(rng, 16, 6)
-        features, _ = coarse.build_candidate_features(src, tgt, k=3)
-        weights, _ = coarse.predict_candidate_weights(pred, features, train=False)
+        f_g, f_d, _ = candidate_features(src, tgt, k=3)
+        weights, _ = coarse.predict_candidate_weights(pred, f_g, f_d, train=False)
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_one_hot_fusion(self):
@@ -231,7 +259,7 @@ class TestCoarseHead:
         src = random_feature_set(rng, 10, c, spread=3.0)
         tgt = random_feature_set(rng, 18, c, spread=3.0)
         cand_idx = geometry.knn_search(src.descriptors, tgt.descriptors, 3).indices
-        pred = coarse.CandidatePredictor(c, np.random.default_rng(19))
+        pred = coarse.make_predictor(c, np.random.default_rng(19))
         conf = coarse.ConfidenceHead(c, np.random.default_rng(20))
         params = dict(pred.named_params("pred"))
         params.update(conf.named_params("conf"))
@@ -270,7 +298,7 @@ class TestCoarseRegister:
     def make_model(self, seed=0, scale=0.125):
         rng = np.random.default_rng(seed)
         backbone = Backbone(rng, scale=scale)
-        pred = coarse.CandidatePredictor(256, rng)
+        pred = coarse.make_predictor(256, rng)
         conf = coarse.ConfidenceHead(256, rng)
         return backbone, pred, conf
 
@@ -292,8 +320,8 @@ class TestCoarseRegister:
 
     def test_untrained_smoke_runs(self):
         backbone, pred, conf = self.make_model(seed=1)
-        pred.stack.head.w.value[:] = 0.0  # uniform candidate weights
-        pred.stack.head.b.value[:] = 0.0
+        pred.head.w.value[:] = 0.0  # uniform candidate weights
+        pred.head.b.value[:] = 0.0
         rng = np.random.default_rng(22)
         src = self.make_cloud(rng)
         gt = random_rigid_transform(rng, 5.0, 0.5)

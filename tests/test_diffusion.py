@@ -133,23 +133,23 @@ class TestDenoiser:
 
     def test_zeroed_network_outputs_zero(self):
         rng = np.random.default_rng(8)
-        den = diff.Denoiser(5, rng)
-        den.stack.head.w.value[:] = 0.0
-        den.stack.head.b.value[:] = 0.0
+        den = diff.make_denoiser(5, rng)
+        den.head.w.value[:] = 0.0
+        den.head.b.value[:] = 0.0
         c_t, f_g, f_d = self.make_inputs(rng)
         out, _ = diff.denoiser_forward(den, c_t, 10, 100, f_g, f_d, train=False)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_output_shape(self):
         rng = np.random.default_rng(9)
-        den = diff.Denoiser(5, rng)
+        den = diff.make_denoiser(5, rng)
         c_t, f_g, f_d = self.make_inputs(rng, n=11, k=4)
         out, _ = diff.denoiser_forward(den, c_t, 3, 100, f_g, f_d, train=False)
         assert out.shape == (11, 4)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(10)
-        den = diff.Denoiser(4, np.random.default_rng(11))
+        den = diff.make_denoiser(4, np.random.default_rng(11))
         c_t, f_g, f_d = self.make_inputs(rng, n=5, k=2, c=4)
         target = rng.normal(size=(5, 2))
         params = dict(den.named_params("den"))
@@ -186,7 +186,7 @@ class TestCorrespondenceToTransform:
         src, tgt, neighbors, c0 = self.setup_pair(rng)
         conf = coarse.ConfidenceHead(4, np.random.default_rng(13))
         tgt_desc = rng.normal(size=(20, 4))
-        step, _ = diff.correspondence_to_transform(c0, src, neighbors, tgt,
+        step, _ = diff.correspondence_to_transform(c0, src, neighbors.indices, tgt,
                                                    tgt_desc, conf)
         assert np.abs(step.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(step.translation).max() < 1e-9
@@ -202,7 +202,7 @@ class TestCorrespondenceToTransform:
         assert (neighbors.indices[np.arange(25), true_col] == np.arange(25)).all()
         c0[np.arange(25), true_col] = 1.0
         conf = coarse.ConfidenceHead(4, np.random.default_rng(15))
-        step, _ = diff.correspondence_to_transform(c0, src, neighbors, tgt,
+        step, _ = diff.correspondence_to_transform(c0, src, neighbors.indices, tgt,
                                                    rng.normal(size=(25, 4)), conf)
         assert np.abs(step.rotation - gt.rotation).max() < 1e-9
         assert np.abs(step.translation - gt.translation).max() < 1e-9
@@ -212,7 +212,7 @@ class TestCorrespondenceToTransform:
         src, tgt, neighbors, _ = self.setup_pair(rng)
         conf = coarse.ConfidenceHead(4, np.random.default_rng(17))
         step, cache = diff.correspondence_to_transform(
-            np.zeros((20, 3)), src, neighbors, tgt, rng.normal(size=(20, 4)), conf)
+            np.zeros((20, 3)), src, neighbors.indices, tgt, rng.normal(size=(20, 4)), conf)
         np.testing.assert_allclose(step.rotation.T @ step.rotation, np.eye(3),
                                    atol=1e-9)
         np.testing.assert_allclose(cache["weights"], 1.0 / 3.0, atol=1e-12)
@@ -236,7 +236,7 @@ class TestCorrespondenceToTransform:
             for p in list(params.values()) + [c0, src_p]:
                 p.zero_grad()
             step, cache = diff.correspondence_to_transform(
-                c0.value, src_p.value, neighbors, tgt, tgt_desc, conf,
+                c0.value, src_p.value, neighbors.indices, tgt, tgt_desc, conf,
                 temperature=temp)
             loss = (step.rotation * g_rot).sum() + step.translation @ g_trans
             g_c0, g_warped, _, _ = diff.correspondence_to_transform_backward(
@@ -321,7 +321,7 @@ class TestAutoregressiveInference:
     def test_single_step_valid(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(25)
         schedule = diff.make_schedule()
-        den = diff.Denoiser(6, np.random.default_rng(26))
+        den = diff.make_denoiser(6, np.random.default_rng(26))
         conf = coarse.ConfidenceHead(6, np.random.default_rng(27))
         final, buffer, _ = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=1, seed=0)
@@ -332,7 +332,7 @@ class TestAutoregressiveInference:
     def test_buffer_running_product(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(28)
         schedule = diff.make_schedule()
-        den = diff.Denoiser(6, np.random.default_rng(29))
+        den = diff.make_denoiser(6, np.random.default_rng(29))
         conf = coarse.ConfidenceHead(6, np.random.default_rng(30))
         _, buffer, _ = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=4, seed=1)

@@ -2,9 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreg import io as aio
 from adreg.geometry import RigidTransform
+
+PLY_HEADER = "ply\nformat ascii 1.0\n"
+XYZ = "property float x\nproperty float y\nproperty float z\n"
 
 
 class TestLidarBin:
@@ -56,6 +61,31 @@ class TestPly:
         with pytest.raises(aio.FormatError, match="line 7"):
             aio.read_ply(path)
 
+    @pytest.mark.parametrize("payload, where", [
+        ((PLY_HEADER + "element vertex\n" + XYZ + "end_header\n").encode(), "line 3"),
+        ((PLY_HEADER + "element vertex 0\n" + XYZ + "element face\nend_header\n").encode(),
+         "line 7"),
+        ((PLY_HEADER + "element\nend_header\n").encode(), "line 3"),
+        ((PLY_HEADER + "element vertex x\n" + XYZ + "end_header\n").encode(), "line 3"),
+        ((PLY_HEADER + "element vertex -1\n" + XYZ + "end_header\n").encode(), "line 3"),
+        ((PLY_HEADER + "element vertex 2\n" + XYZ + "end_header\n1 2 3\nnan 0 0\n").encode(),
+         "line 9"),
+        ((PLY_HEADER + "comment caf\u00e9\nelement vertex 0\n" + XYZ
+          + "end_header\n").encode("utf-8"), "line 3"),
+    ], ids=["vertex-no-count", "face-no-count", "bare-element", "vertex-count-x",
+            "vertex-count-negative", "nan-vertex", "non-ascii-header"])
+    def test_malformed_input_raises_positioned_format_error(self, tmp_path, payload, where):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(payload)
+        with pytest.raises(aio.FormatError, match=where):
+            aio.read_ply(path)
+
+    def test_properties_of_an_empty_face_element_ignored(self, tmp_path):
+        path = tmp_path / "mesh.ply"
+        path.write_text(PLY_HEADER + "element vertex 1\n" + XYZ + "element face 0\n"
+                        "property list uchar int vertex_indices\nend_header\n1 2 3\n")
+        np.testing.assert_allclose(aio.read_ply(path), [[1, 2, 3]])
+
     def test_extra_properties_ok(self, tmp_path):
         path = tmp_path / "extra.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
@@ -77,6 +107,17 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 0 0 0 1\n")
         with pytest.raises(aio.FormatError, match="line 2"):
+            aio.read_pose_file(path)
+
+    @pytest.mark.parametrize("payload, where", [
+        (b"1 0 0 0 0 1 0 0 0 0 1 0\nnan 0 0 0 0 1 0 0 0 0 1 0\n", "line 2"),
+        (b"1 0 0 inf 0 1 0 0 0 0 1 0\n", "line 1"),
+        (b"1 0 0 0 0 1 0 0 0 0 1 0\n\xff 0 0 0 0 1 0 0 0 0 1 0\n", "line 2"),
+    ], ids=["nan", "inf", "not-utf8"])
+    def test_malformed_input_raises_positioned_format_error(self, tmp_path, payload, where):
+        path = tmp_path / "poses.txt"
+        path.write_bytes(payload)
+        with pytest.raises(aio.FormatError, match=where):
             aio.read_pose_file(path)
 
     def test_orthonormalization(self, tmp_path):
@@ -106,7 +147,6 @@ class TestRunConfig:
         cfg = aio.RunConfig()
         assert cfg.voxel_size == 0.3
         assert cfg.sample_count == 16384
-        assert cfg.frame_interval == 10
         assert cfg.gmm_components == 8
         assert cfg.candidates == 3
         assert cfg.sampling_steps == 3
@@ -135,6 +175,14 @@ class TestRunConfig:
     def test_invalid_value(self):
         with pytest.raises(aio.FormatError):
             aio.parse_config("gmm_components = 0\n")
+
+    @pytest.mark.parametrize("text", [
+        "voxel_size = nan\n", "voxel_size = inf\n", "learning_rate = 1e999\n",
+        "jitter = nan\n",
+    ])
+    def test_non_finite_value(self, text):
+        with pytest.raises(aio.FormatError, match="finite"):
+            aio.parse_config(text)
 
 
 class TestCheckpoint:
@@ -165,6 +213,16 @@ class TestCheckpoint:
         with pytest.raises(aio.CheckpointError, match="version"):
             aio.load_checkpoint(path)
 
+    @pytest.mark.parametrize("payload, where", [
+        (aio.CHECKPOINT_MAGIC + struct.pack("<I", aio.CHECKPOINT_VERSION)
+         + struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<Q", 0), "byte 12"),
+    ], ids=["name-not-utf8"])
+    def test_malformed_input_raises_positioned_format_error(self, tmp_path, payload, where):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(payload)
+        with pytest.raises(aio.CheckpointError, match=where):
+            aio.load_checkpoint(path)
+
     def test_truncated_tensor(self, tmp_path):
         path = tmp_path / "trunc.ckpt"
         aio.save_checkpoint(aio.Checkpoint(tensors={"x": np.arange(8.0)}), path)
@@ -172,3 +230,83 @@ class TestCheckpoint:
         path.write_bytes(data[:-4])
         with pytest.raises(aio.CheckpointError, match="truncated"):
             aio.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every reader fails on malformed input with a FormatError only.
+
+PLY_LINES = st.sampled_from([
+    "ply", "format ascii 1.0", "format binary_little_endian 1.0", "element vertex 1",
+    "element vertex 2", "element vertex", "element vertex -1", "element vertex x",
+    "element face 1", "element face 0", "element", "property float x",
+    "property float y", "property float z", "property", "end_header", "comment c",
+    "1 2 3", "nan 0 0", "0 inf 0", "1e999 0 0", "1 2", "x y z", "",
+])
+NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "1e308", "-1e308", "1e-320", "nan",
+                           "inf", "-inf", "x", "1_0", "1e999"])
+
+
+def _lines(strategy, prefix=()):
+    return st.lists(strategy, max_size=14).map(
+        lambda lines: "\n".join(list(prefix) + lines).encode("utf-8"))
+
+
+def _fails_only_with_format_error(reader, fuzz_dir, payload: bytes):
+    path = fuzz_dir / "input"
+    path.write_bytes(payload)
+    try:
+        reader(path)
+    except aio.FormatError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.one_of(
+        st.binary(max_size=200),
+        _lines(st.one_of(PLY_LINES, st.text(max_size=12))),
+        _lines(PLY_LINES, prefix=("ply", "format ascii 1.0", "element vertex 2",
+                                  "property float x", "property float y",
+                                  "property float z", "end_header"))))
+    def test_read_ply(self, fuzz_dir, payload):
+        _fails_only_with_format_error(aio.read_ply, fuzz_dir, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.one_of(
+        st.binary(max_size=200),
+        _lines(st.lists(NUMBERS, min_size=11, max_size=13).map(" ".join)),
+        _lines(st.text(max_size=40))))
+    def test_read_pose_file(self, fuzz_dir, payload):
+        _fails_only_with_format_error(aio.read_pose_file, fuzz_dir, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.one_of(
+        st.binary(max_size=64).map(lambda b: aio.CHECKPOINT_MAGIC + b),
+        st.lists(st.tuples(st.binary(max_size=8), st.integers(0, 4),
+                           st.binary(max_size=40)), max_size=3).map(
+            lambda records: aio.CHECKPOINT_MAGIC
+            + struct.pack("<I", aio.CHECKPOINT_VERSION)
+            + b"".join(struct.pack("<I", len(name)) + name + struct.pack("<Q", count)
+                       + body for name, count, body in records)),
+        st.binary(max_size=64)))
+    def test_load_checkpoint(self, fuzz_dir, payload):
+        _fails_only_with_format_error(aio.load_checkpoint, fuzz_dir, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(max_size=80),
+        st.lists(st.tuples(st.sampled_from(sorted(aio.RunConfig.__dataclass_fields__)
+                                           + ["bogus", ""]),
+                           st.one_of(NUMBERS, st.text(max_size=8))),
+                 max_size=6).map(
+            lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs))))
+    def test_parse_config(self, text):
+        try:
+            aio.parse_config(text)
+        except aio.FormatError:
+            pass
