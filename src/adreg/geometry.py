@@ -1,8 +1,7 @@
 """Rigid-motion algebra, point-cloud sampling, and nearest-neighbor search.
 
 Conventions: point clouds are (N, 3) float64 arrays in meters, transforms act
-as ``p -> R p + t``. All functions are pure; nothing here holds mutable state
-except a built :class:`KdTree`, whose queries are read-only.
+as ``p -> R p + t``. All functions are pure; nothing here holds mutable state.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import numpy as np
 
 ORTHONORMAL_TOL = 1e-9
 
-# Brute-force KNN is faster than the tree below this target count, and the
-# exact-agreement contract between the two paths is tested at the boundary.
-KDTREE_MIN_TARGETS = 1025
-KDTREE_LEAF_SIZE = 32
+# KNN handles query rows in blocks whose distance matrix holds about this
+# many entries, which bounds its scratch memory whatever the cloud sizes.
+_KNN_BLOCK_ENTRIES = 1 << 19
 
 
 def as_points(points, dim: int = 3) -> np.ndarray:
@@ -161,9 +159,10 @@ def farthest_point_sample(cloud, n: int, weights=None, seed: int = 0) -> np.ndar
         if weights.min() < 0 or weights.max() > 1:
             raise ValueError("weights must lie in [0, 1]")
 
+    cols = np.ascontiguousarray(pts.T)
     chosen = np.empty(n, dtype=np.int64)
     chosen[0] = seed % total
-    d2min = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    d2min = _sq_dists(cols[:, chosen[0]:chosen[0] + 1], cols)[0]
     taken = np.zeros(total, dtype=bool)
     taken[chosen[0]] = True
     for i in range(1, n):
@@ -172,95 +171,67 @@ def farthest_point_sample(cloud, n: int, weights=None, seed: int = 0) -> np.ndar
         nxt = int(np.argmax(score))
         chosen[i] = nxt
         taken[nxt] = True
-        d2min = np.minimum(d2min, ((pts - pts[nxt]) ** 2).sum(axis=1))
+        np.minimum(d2min, _sq_dists(cols[:, nxt:nxt + 1], cols)[0], out=d2min)
     return chosen
 
 
-def _pairwise_sq_dists(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    diff = queries[:, None, :] - targets[None, :, :]
-    return (diff ** 2).sum(axis=-1)
+def _sq_dists(q_cols: np.ndarray, t_cols: np.ndarray, lo: int = 0,
+              n: int | None = None) -> np.ndarray:
+    """Squared distances between the columns of ``q_cols`` (D, B) and
+    ``t_cols`` (D, M), as a (B, M) array, summed over rows ``lo:lo+n``.
+
+    The rows are added one (B, M) pass at a time in numpy's pairwise
+    summation order, so the result equals
+    ``((q[:, None, :] - t[None, :, :]) ** 2).sum(-1)`` bit for bit without
+    the (B, M, D) temporary. Below eight rows that order is left to right.
+    """
+    if n is None:
+        n = len(q_cols)
+
+    def sq(c):
+        return (q_cols[c, :, None] - t_cols[c]) ** 2
+
+    if n < 8:
+        acc = sq(lo)
+        for c in range(lo + 1, lo + n):
+            acc += sq(c)
+        return acc
+    if n <= 128:
+        acc = [sq(lo + j) for j in range(8)]
+        blocked = n - n % 8
+        for base in range(lo + 8, lo + blocked, 8):
+            for j in range(8):
+                acc[j] += sq(base + j)
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for c in range(lo + blocked, lo + n):
+            out += sq(c)
+        return out
+    half = n // 2 - (n // 2) % 8
+    return _sq_dists(q_cols, t_cols, lo, half) + _sq_dists(q_cols, t_cols, lo + half, n - half)
 
 
 def _knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> NeighborSet:
-    d2 = _pairwise_sq_dists(queries, targets)
-    # Stable sort: equal distances resolve to the lower target index.
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    dists = np.sqrt(np.take_along_axis(d2, order, axis=1))
-    return NeighborSet(order.astype(np.int64), dists)
-
-
-class KdTree:
-    """Median-split kd-tree over an (N, d) array.
-
-    Leaf distance evaluation uses the same arithmetic as the brute-force
-    path, and candidate replacement orders by (distance^2, index), so tree
-    and brute-force results agree exactly, ties included.
-    """
-
-    def __init__(self, points, leaf_size: int = KDTREE_LEAF_SIZE):
-        self.points = np.asarray(points, dtype=np.float64)
-        self.leaf_size = leaf_size
-        self._root = self._build(np.arange(len(self.points), dtype=np.int64))
-
-    def _build(self, idx):
-        pts = self.points[idx]
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        if len(idx) <= self.leaf_size:
-            return (None, lo, hi, idx, None, None)
-        axis = int(np.argmax(hi - lo))
-        order = np.argsort(pts[:, axis], kind="stable")
-        mid = len(idx) // 2
-        left = self._build(idx[order[:mid]])
-        right = self._build(idx[order[mid:]])
-        return (axis, lo, hi, None, left, right)
-
-    @staticmethod
-    def _box_min_sq_dist(q, lo, hi):
-        d = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-        return float((d ** 2).sum())
-
-    def query(self, q: np.ndarray, k: int):
-        # Worst candidate = lexicographic max of (d2, index); prune a node
-        # only when its box cannot beat it strictly (keeps tie handling exact).
-        best: list[tuple[float, int]] = []
-
-        def visit(node):
-            axis, lo, hi, idx, left, right = node
-            if len(best) == k:
-                worst = best[-1]
-                if self._box_min_sq_dist(q, lo, hi) > worst[0]:
-                    return
-            if axis is None:
-                d2 = ((q - self.points[idx]) ** 2).sum(axis=1)
-                for dist2, j in zip(d2, idx):
-                    cand = (float(dist2), int(j))
-                    if len(best) < k:
-                        best.append(cand)
-                        best.sort()
-                    elif cand < best[-1]:
-                        best[-1] = cand
-                        best.sort()
-                return
-            # Descend toward the query side first.
-            l_d = self._box_min_sq_dist(q, left[1], left[2])
-            r_d = self._box_min_sq_dist(q, right[1], right[2])
-            first, second = (left, right) if l_d <= r_d else (right, left)
-            visit(first)
-            visit(second)
-
-        visit(self._root)
-        return best
-
-
-def _knn_kdtree(queries: np.ndarray, targets: np.ndarray, k: int) -> NeighborSet:
-    tree = KdTree(targets)
-    n = len(queries)
+    n, m = len(queries), len(targets)
     indices = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k))
-    for i in range(n):
-        best = tree.query(queries[i], k)
-        indices[i] = [j for _, j in best]
-        dists[i] = np.sqrt([d2 for d2, _ in best])
+    t_cols = np.ascontiguousarray(targets.T)
+    rows = max(1, _KNN_BLOCK_ENTRIES // m)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        d2 = _sq_dists(np.ascontiguousarray(queries[block].T), t_cols)
+        # Order by (d2, index): argpartition picks k smallest, an index sort
+        # then a stable d2 sort orders them. Where the k-th d2 ties with an
+        # entry left out, the pick is arbitrary, so those rows sort in full.
+        picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, picked[:, k - 1:], axis=1)
+        picked.sort(axis=1)
+        order = np.argsort(np.take_along_axis(d2, picked, axis=1), axis=1, kind="stable")
+        idx = np.take_along_axis(picked, order, axis=1)
+        tied = (d2 <= kth).sum(axis=1) > k
+        if tied.any():
+            idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        indices[block] = idx
+        dists[block] = np.sqrt(np.take_along_axis(d2, idx, axis=1))
     return NeighborSet(indices, dists)
 
 
@@ -274,6 +245,4 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
         raise ValueError("k must be at least 1")
     if len(targets) < k:
         raise ValueError(f"need at least k={k} targets, got {len(targets)}")
-    if len(targets) >= KDTREE_MIN_TARGETS:
-        return _knn_kdtree(queries, targets, k)
     return _knn_brute(queries, targets, k)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreg import geometry as geo
 from adreg.geometry import RigidTransform
@@ -14,6 +16,44 @@ def rot_z(deg):
 
 def random_transform(rng, max_rot=180.0, max_trans=5.0):
     return geo.random_rigid_transform(rng, max_rot, max_trans)
+
+
+def knn_oracle(queries, targets, k):
+    """O(NM) reference: per query, targets ordered by (d^2, index)."""
+    indices = np.empty((len(queries), k), dtype=np.int64)
+    dists = np.empty((len(queries), k))
+    for qi, q in enumerate(queries):
+        d2 = ((targets - q) ** 2).sum(1)
+        order = sorted(range(len(targets)), key=lambda j: (d2[j], j))[:k]
+        indices[qi] = order
+        dists[qi] = np.sqrt(d2[order])
+    return indices, dists
+
+
+def boundary_tied_rows(queries, targets, k):
+    """Rows whose k-th squared distance is shared by a target outside the k."""
+    count = 0
+    for q in queries:
+        d2 = ((targets - q) ** 2).sum(1)
+        count += int((d2 <= np.sort(d2)[k - 1]).sum() > k)
+    return count
+
+
+def fps_reference(cloud, n, weights=None, seed=0):
+    """The greedy loop with row-wise squared distances."""
+    chosen = np.empty(n, dtype=np.int64)
+    chosen[0] = seed % len(cloud)
+    d2min = ((cloud - cloud[chosen[0]]) ** 2).sum(axis=1)
+    taken = np.zeros(len(cloud), dtype=bool)
+    taken[chosen[0]] = True
+    for i in range(1, n):
+        score = d2min if weights is None else weights * np.sqrt(d2min)
+        score = np.where(taken, -1.0, score)
+        nxt = int(np.argmax(score))
+        chosen[i] = nxt
+        taken[nxt] = True
+        d2min = np.minimum(d2min, ((cloud - cloud[nxt]) ** 2).sum(axis=1))
+    return chosen
 
 
 class TestRigidTransform:
@@ -163,6 +203,25 @@ class TestFarthestPointSample:
         with pytest.raises(ValueError):
             geo.farthest_point_sample(np.zeros((4, 3)), 5)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_row_wise_loop(self, weighted):
+        rng = np.random.default_rng(18)
+        cloud = rng.normal(size=(3000, 3)) * 10.0
+        weights = rng.uniform(size=3000) if weighted else None
+        got = geo.farthest_point_sample(cloud, 300, weights=weights, seed=7)
+        np.testing.assert_array_equal(got, fps_reference(cloud, 300, weights, seed=7))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_duplicates_leave_the_choice_to_the_taken_mask(self, weighted):
+        # 8 distinct points, 5 copies each: once every distinct point is
+        # taken, all scores are 0 and only the taken mask orders the rest.
+        rng = np.random.default_rng(19)
+        cloud = np.repeat(rng.normal(size=(8, 3)), 5, axis=0)
+        weights = rng.uniform(size=40) if weighted else None
+        got = geo.farthest_point_sample(cloud, 40, weights=weights, seed=3)
+        np.testing.assert_array_equal(got, fps_reference(cloud, 40, weights, seed=3))
+        assert sorted(got) == list(range(40))
+
 
 class TestKnnSearch:
     def test_self_match(self):
@@ -194,24 +253,47 @@ class TestKnnSearch:
             order = sorted(range(300), key=lambda j: (d[j], j))[:5]
             assert list(ns.indices[qi]) == order
 
-    def test_kdtree_agrees_with_brute_exactly(self):
+    def test_query_blocks_with_boundary_ties_match_oracle(self):
         rng = np.random.default_rng(13)
-        targets = rng.normal(size=(500, 3))
+        targets = rng.normal(size=(2000, 3))
         targets[100:110] = targets[0]  # inject exact ties
-        queries = rng.normal(size=(60, 3))
-        a = geo._knn_brute(queries, targets, 7)
-        b = geo._knn_kdtree(queries, targets, 7)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.distances, b.distances)
+        queries = rng.normal(size=(800, 3))
+        queries[::97] = targets[0]  # 11 targets at d=0, so k=7 splits a tie
+        assert len(queries) > 2 * geo._KNN_BLOCK_ENTRIES // len(targets)
+        assert boundary_tied_rows(queries, targets, 7) == 9
+        ns = geo.knn_search(queries, targets, 7)
+        want_idx, want_dist = knn_oracle(queries, targets, 7)
+        np.testing.assert_array_equal(ns.indices, want_idx)
+        np.testing.assert_array_equal(ns.distances, want_dist)
 
-    def test_large_cloud_uses_tree_and_is_exact(self):
+    def test_large_cloud_and_k_equal_to_targets_match_oracle(self):
         rng = np.random.default_rng(14)
         targets = rng.normal(size=(1500, 3))
-        queries = rng.normal(size=(20, 3))
-        got = geo.knn_search(queries, targets, 4)
-        want = geo._knn_brute(queries, targets, 4)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_array_equal(got.distances, want.distances)
+        queries = rng.normal(size=(1000, 3))
+        assert len(queries) > 2 * geo._KNN_BLOCK_ENTRIES // len(targets)
+        for q, k in ((queries, 64), (queries[:40], len(targets))):
+            ns = geo.knn_search(q, targets, k)
+            want_idx, want_dist = knn_oracle(q, targets, k)
+            np.testing.assert_array_equal(ns.indices, want_idx)
+            np.testing.assert_array_equal(ns.distances, want_dist)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_on_rounded_coordinates_property(self, data):
+        # Coordinates on a 0.5 grid make equal distances common.
+        width = data.draw(st.sampled_from([1, 3, 9]))
+        n_q = data.draw(st.integers(1, 12))
+        n_t = data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(1, n_t))
+        coord = st.integers(-4, 4).map(lambda v: v / 2.0)
+        queries = np.array(data.draw(st.lists(coord, min_size=n_q * width,
+                                              max_size=n_q * width))).reshape(n_q, width)
+        targets = np.array(data.draw(st.lists(coord, min_size=n_t * width,
+                                              max_size=n_t * width))).reshape(n_t, width)
+        ns = geo.knn_search(queries, targets, k)
+        want_idx, want_dist = knn_oracle(queries, targets, k)
+        np.testing.assert_array_equal(ns.indices, want_idx)
+        np.testing.assert_array_equal(ns.distances, want_dist)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
