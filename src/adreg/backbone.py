@@ -32,7 +32,7 @@ class LayerConfig:
 
 
 # Reference configuration; n_out scales with the run factor, K and channel
-# widths stay fixed (K additionally clamps to the available input size).
+# widths stay fixed.
 FULL_SCALE_LAYERS = (
     LayerConfig(1024, 64, (32, 32, 64)),
     LayerConfig(512, 32, (64, 64, 128)),
@@ -41,6 +41,14 @@ FULL_SCALE_LAYERS = (
 
 
 def scaled_layer_configs(scale: float = 1.0) -> tuple[LayerConfig, ...]:
+    """The reference layers with ``n_out`` scaled by ``scale`` (at least 1).
+
+    K and the channel widths do not scale. A layer groups
+    ``min(K, n_in)`` members, where ``n_in`` is the previous layer's
+    ``n_out``, so at ``scale <= 1/32`` layers 2 and 3 group their whole
+    input (at 1/32, 32 of 32 and 16 of 16 points) and every output point
+    of such a layer fuses the same members.
+    """
     if scale <= 0:
         raise ValueError("backbone scale must be positive")
     return tuple(
@@ -217,25 +225,15 @@ class Backbone:
         return BackboneOutput(fine=outputs[1], coarse=outputs[2],
                               plans=tuple(used_plans), cache=cache)
 
-    def backward(self, output: BackboneOutput, g_coarse=None, g_fine=None):
+    def backward(self, output: BackboneOutput, g_coarse, g_fine):
         """Accumulate parameter gradients given output-side gradients.
 
         ``g_coarse``/``g_fine`` are (g_points, g_descriptors, g_uncertainties)
-        triples; missing entries count as zero.
+        triples for the coarse and fine feature sets.
         """
         caches = output.cache["layers"]
-
-        def unpack(g, fs):
-            if g is None:
-                return (np.zeros_like(fs.points), np.zeros_like(fs.descriptors),
-                        np.zeros_like(fs.uncertainties))
-            gp, gd, gu = g
-            return (np.zeros_like(fs.points) if gp is None else gp,
-                    np.zeros_like(fs.descriptors) if gd is None else gd,
-                    np.zeros_like(fs.uncertainties) if gu is None else gu)
-
-        gp, gd, gu = unpack(g_coarse, output.coarse)
-        fp, fd, fu = unpack(g_fine, output.fine)
+        gp, gd, gu = g_coarse
+        fp, fd, fu = g_fine
         gp2, gd2, gu2 = self.layers[2].backward(caches[2], gp, gd, gu)
         gp1, gd1, gu1 = self.layers[1].backward(
             caches[1], gp2 + fp, gd2 + fd, gu2 + fu)

@@ -52,9 +52,12 @@ class Linear:
         self.w = Param(glorot_uniform(rng, out_dim, in_dim))
         self.b = Param(np.zeros(out_dim))
 
-    def forward(self, x: np.ndarray):
+    def check_input(self, x: np.ndarray):
         if x.ndim != 2 or x.shape[1] != self.w.value.shape[1]:
             raise ValueError(f"linear expects (N, {self.w.value.shape[1]}), got {x.shape}")
+
+    def forward(self, x: np.ndarray):
+        self.check_input(x)
         return _check_finite(x @ self.w.value.T + self.b.value, "linear output"), x
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
@@ -167,12 +170,27 @@ class CBR:
         self.bn = BatchNorm(out_dim)
 
     def forward(self, x: np.ndarray, train: bool):
-        z, lin_cache = self.lin.forward(x)
-        pre, bn_cache = self.bn.forward(z, train)
-        return relu(pre), (lin_cache, bn_cache, pre)
+        if train:
+            z, lin_cache = self.lin.forward(x)
+            pre, bn_cache = self.bn.forward(z, train)
+            return relu(pre), (lin_cache, bn_cache, pre)
+        # Eval-mode batch norm is affine, so it folds into the linear map:
+        # one product instead of five passes over the (N, out) output. The
+        # fold is O(out * in) and redone per call, so it never goes stale.
+        self.lin.check_input(x)
+        bn = self.bn
+        scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
+        w = self.lin.w.value * scale[:, None]
+        b = (self.lin.b.value - bn.running_mean) * scale + bn.beta.value
+        pre = _check_finite(x @ w.T + b, "batchnorm output")
+        return relu(pre), (x, None, pre)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         lin_cache, bn_cache, pre = cache
+        if bn_cache is None:
+            # A folded eval-mode forward: rebuild the unfolded caches.
+            z, lin_cache = self.lin.forward(lin_cache)
+            _, bn_cache = self.bn.forward(z, False)
         g = self.bn.backward(bn_cache, relu_backward(grad_out, pre))
         return self.lin.backward(lin_cache, g)
 

@@ -248,6 +248,48 @@ class TestStacks:
 
         assert nnet.finite_diff_check(fb, dict(layer.named_params("l")), h=1e-5) < 1e-6
 
+    @staticmethod
+    def eval_stack(rng):
+        # Non-trivial batch-norm affine parameters and running statistics.
+        stack = nnet.CBRStack(5, (8, 6), 3, rng)
+        for block in stack.blocks:
+            dim = block.bn.gamma.value.size
+            block.bn.gamma.value[:] = rng.uniform(0.5, 2.0, size=dim)
+            block.bn.beta.value[:] = rng.normal(size=dim)
+            block.bn.running_mean = rng.normal(size=dim)
+            block.bn.running_var = rng.uniform(0.1, 3.0, size=dim)
+        return stack
+
+    def test_eval_forward_matches_unfolded_reference(self):
+        rng = np.random.default_rng(16)
+        stack = self.eval_stack(rng)
+        x = rng.normal(size=(40, 5))
+        want = x
+        for block in stack.blocks:
+            z, _ = block.lin.forward(want)
+            pre, _ = block.bn.forward(z, train=False)
+            want = nnet.relu(pre)
+        want, _ = stack.head.forward(want)
+        got, _ = stack.forward(x, train=False)
+        # Folding reassociates the affine maps: rounding differences only.
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_eval_mode_gradcheck(self):
+        rng = np.random.default_rng(17)
+        stack = self.eval_stack(rng)
+        x = rng.normal(size=(10, 5))
+        target = rng.normal(size=(10, 3))
+
+        def fb():
+            for _, p in stack.named_params("s"):
+                p.zero_grad()
+            y, cache = stack.forward(x, train=False)
+            loss, grad = mse_loss_grad(y, target)
+            stack.backward(cache, grad)
+            return loss
+
+        assert nnet.finite_diff_check(fb, dict(stack.named_params("s")), h=1e-5) < 1e-6
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(14)
         stack = nnet.CBRStack(3, (4,), 2, rng)
