@@ -22,6 +22,10 @@ from .nnet import softmax_rows, softmax_rows_backward
 INITIAL_UNCERTAINTY = 0.5
 LIFT_WIDTH = 32
 UNCERTAINTY_HIDDEN = 64
+# An eval-mode layer forward handles output points in blocks whose widest
+# activation holds about this many entries, which bounds its scratch memory
+# whatever the layer sizes.
+_FORWARD_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -109,28 +113,41 @@ class DetectorDescriptorLayer:
 
     def forward(self, pts: np.ndarray, feats: np.ndarray, unc: np.ndarray,
                 plan: LayerPlan, train: bool):
+        """Fuse each group into an output point, descriptor and uncertainty.
+
+        Returns (p_out, d_out, u_out, cache). Only train mode returns a
+        cache, for ``backward``. Eval mode walks the output points in blocks
+        whose widest activation holds about ``_FORWARD_BLOCK_ENTRIES``
+        entries; train mode takes every row in one block, because batch
+        statistics and the backward pass need them all.
+        """
         if feats.shape[1] != self.in_feat_dim:
             raise ValueError(f"expected feature width {self.in_feat_dim}, got {feats.shape[1]}")
         n_out, k = plan.groups.shape
-        centers = pts[plan.selected]
-        member_pts = pts[plan.groups]
-        rel = member_pts - centers[:, None, :]
-        member_feats = feats[plan.groups]
-        member_unc = unc[plan.groups]
-
-        x = np.concatenate(
-            [rel.reshape(n_out * k, 3),
-             member_feats.reshape(n_out * k, -1),
-             member_unc.reshape(n_out * k, 1)], axis=1)
-        logits, det_cache = self.detector.forward(x, train)
-        w = softmax_rows(logits.reshape(n_out, k))
-        p_out = (w[..., None] * member_pts).sum(axis=1)
-        desc_rows, desc_cache = self.descriptor.forward(x, train)
-        desc_feat = desc_rows.reshape(n_out, k, self.out_dim)
-        d_out = (w[..., None] * desc_feat).sum(axis=1)
+        widest = max(3 + self.in_feat_dim + 1, *self.cfg.widths)
+        rows = n_out if train else max(1, _FORWARD_BLOCK_ENTRIES // (k * widest))
+        p_out = np.empty((n_out, 3))
+        d_out = np.empty((n_out, self.out_dim))
+        for start in range(0, n_out, rows):
+            block = slice(start, start + rows)
+            groups = plan.groups[block]
+            n = len(groups)
+            member_pts = pts[groups]
+            rel = member_pts - pts[plan.selected[block]][:, None, :]
+            x = np.concatenate(
+                [rel.reshape(n * k, 3),
+                 feats[groups].reshape(n * k, -1),
+                 unc[groups].reshape(n * k, 1)], axis=1)
+            logits, det_cache = self.detector.forward(x, train)
+            w = softmax_rows(logits.reshape(n, k))
+            p_out[block] = (w[..., None] * member_pts).sum(axis=1)
+            desc_rows, desc_cache = self.descriptor.forward(x, train)
+            desc_feat = desc_rows.reshape(n, k, self.out_dim)
+            d_out[block] = (w[..., None] * desc_feat).sum(axis=1)
         u_rows, unc_cache = self.uncertainty.forward(d_out)
         u_out = u_rows.reshape(n_out)
-
+        if not train:
+            return p_out, d_out, u_out, None
         cache = {"plan": plan, "n_in": len(pts), "w": w, "member_pts": member_pts,
                  "desc_feat": desc_feat, "det": det_cache, "desc": desc_cache,
                  "unc": unc_cache}
@@ -183,7 +200,7 @@ class BackboneOutput:
     fine: FeatureSet
     coarse: FeatureSet
     plans: tuple[LayerPlan, ...]
-    cache: dict | None
+    cache: dict | None  # train mode only; Backbone.backward consumes it
 
 
 class Backbone:
@@ -198,8 +215,7 @@ class Backbone:
                        for d, c in zip(in_dims, self.configs)]
 
     def forward(self, cloud, seed: int = 0, train: bool = False,
-                plans: tuple[LayerPlan, ...] | None = None,
-                want_cache: bool = False) -> BackboneOutput:
+                plans: tuple[LayerPlan, ...] | None = None) -> BackboneOutput:
         pts = as_points(cloud)
         if len(pts) < self.configs[0].n_out:
             raise ValueError(
@@ -221,7 +237,7 @@ class Backbone:
             caches.append(cache)
             pts, feats, unc = p_out, d_out, u_out
 
-        cache = {"layers": caches, "lift": lift_cache} if want_cache else None
+        cache = {"layers": caches, "lift": lift_cache} if train else None
         return BackboneOutput(fine=outputs[1], coarse=outputs[2],
                               plans=tuple(used_plans), cache=cache)
 

@@ -163,14 +163,19 @@ def farthest_point_sample(cloud, n: int, weights=None, seed: int = 0) -> np.ndar
     chosen = np.empty(n, dtype=np.int64)
     chosen[0] = seed % total
     d2min = _sq_dists(cols[:, chosen[0]:chosen[0] + 1], cols)[0]
-    taken = np.zeros(total, dtype=bool)
-    taken[chosen[0]] = True
+    # A chosen point scores -1, below every unchosen one. Unweighted, the
+    # score is d2min itself, whose -1 entries survive np.minimum against
+    # the nonnegative distances. Weighted, the score buffer is refilled
+    # from d2min (0 at chosen points) and the -1 entries written again.
+    score = d2min if weights is None else np.empty(total)
+    score[chosen[0]] = -1.0
     for i in range(1, n):
-        score = d2min if weights is None else weights * np.sqrt(d2min)
-        score = np.where(taken, -1.0, score)
+        if weights is not None:
+            np.multiply(weights, np.sqrt(d2min, out=score), out=score)
+            score[chosen[:i]] = -1.0
         nxt = int(np.argmax(score))
         chosen[i] = nxt
-        taken[nxt] = True
+        score[nxt] = -1.0
         np.minimum(d2min, _sq_dists(cols[:, nxt:nxt + 1], cols)[0], out=d2min)
     return chosen
 

@@ -335,7 +335,8 @@ def finite_diff_check(forward_backward, params: dict[str, Param], h: float = 1e-
     half the slope jump. When the one-sided slopes disagree by more than
     ``KINK_RTOL`` relative plus the noise floor, the probe is repeated with
     a tenfold smaller step, down to ``h * 10**-KINK_SHRINKS``; a coordinate
-    still kinked at that floor is skipped.
+    still kinked at that floor is skipped. Raises ``ValueError`` when every
+    probed coordinate is skipped, because no error was then measured.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -344,6 +345,7 @@ def finite_diff_check(forward_backward, params: dict[str, Param], h: float = 1e-
     analytic = {k: p.grad.copy() for k, p in params.items()}
     rng = np.random.default_rng(seed)
     worst = 0.0
+    probed = skipped = 0
     for name, p in params.items():
         flat = p.value.reshape(-1)
         coords = np.arange(flat.size)
@@ -352,6 +354,7 @@ def finite_diff_check(forward_backward, params: dict[str, Param], h: float = 1e-
         for idx in coords:
             a = analytic[name].reshape(-1)[idx]
             orig = flat[idx]
+            probed += 1
             # Leaving this loop without a break skips a coordinate that is
             # still kinked at the smallest step.
             for shrink in range(KINK_SHRINKS + 1):
@@ -376,5 +379,10 @@ def finite_diff_check(forward_backward, params: dict[str, Param], h: float = 1e-
                     err = abs(a - numeric) / max(abs(a) + abs(numeric), noise_atol)
                     worst = max(worst, err)
                     break
+            else:
+                skipped += 1
     forward_backward()  # restore grads for the unperturbed point
+    if probed and skipped == probed:
+        raise ValueError(f"finite_diff_check skipped all {skipped} probed "
+                         "coordinates as kinked; no error was measured")
     return worst

@@ -294,10 +294,8 @@ def make_step_context(model: RegistrationModel, pair: SyntheticPair,
     caches so the training step can reuse this forward pass.
     """
     cfg = model.config
-    src_out = model.backbone.forward(pair.source, seed=cfg.seed, train=True,
-                                     want_cache=True)
-    tgt_out = model.backbone.forward(pair.target, seed=cfg.seed, train=True,
-                                     want_cache=True)
+    src_out = model.backbone.forward(pair.source, seed=cfg.seed, train=True)
+    tgt_out = model.backbone.forward(pair.target, seed=cfg.seed, train=True)
     _, _, (src_mask, tgt_mask), coarse_cand = purified_candidates(
         src_out.coarse, tgt_out.coarse, gmm_components=cfg.gmm_components,
         bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
@@ -322,8 +320,13 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     backpropagate ``grad_scale`` times its gradient into the parameters.
 
     ``outputs`` may carry the (src, tgt) backbone outputs produced while the
-    context was built, saving their recomputation.
+    context was built, saving their recomputation. Only the train-mode
+    forward keeps the caches a backward pass needs, so ``train=False``
+    evaluates the loss alone.
     """
+    if compute_grads and not train:
+        raise ValueError("gradients need the train-mode forward; "
+                         "eval mode keeps no caches")
     cfg = model.config
     weights = LossWeights(rot=cfg.rot_weight, trans=cfg.trans_weight,
                           diff=cfg.diff_weight)
@@ -331,9 +334,9 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
         src_out, tgt_out = outputs
     else:
         src_out = model.backbone.forward(pair.source, seed=cfg.seed, train=train,
-                                         plans=ctx.src_plans, want_cache=True)
+                                         plans=ctx.src_plans)
         tgt_out = model.backbone.forward(pair.target, seed=cfg.seed, train=train,
-                                         plans=ctx.tgt_plans, want_cache=True)
+                                         plans=ctx.tgt_plans)
     src_pure = purify(src_out.coarse, ctx.src_mask)
     tgt_pure = purify(tgt_out.coarse, ctx.tgt_mask)
     est_coarse, _, coarse_cache = coarse_head_forward(
@@ -528,7 +531,7 @@ def train(config: RunConfig, data_dir=None, log_path=None,
                 pair = train_pairs[idx]
                 try:
                     ctx, src_out, tgt_out = make_step_context(model, pair, rng_train)
-                    total, terms = training_loss(model, pair, ctx, train=True,
+                    total, terms = training_loss(model, pair, ctx,
                                                  grad_scale=1.0 / len(batch),
                                                  outputs=(src_out, tgt_out))
                 except DegeneracyError:

@@ -107,6 +107,48 @@ class TestBackboneForward:
         assert {tuple(p) for p in np.round(p_out, 12)} == {tuple(p) for p in np.round(cloud, 12)}
 
 
+def whole_batch_forward(layer, pts, feats, unc, plan):
+    """The eval-mode layer forward over all n_out * K rows at once."""
+    n_out, k = plan.groups.shape
+    member_pts = pts[plan.groups]
+    rel = member_pts - pts[plan.selected][:, None, :]
+    x = np.concatenate(
+        [rel.reshape(n_out * k, 3),
+         feats[plan.groups].reshape(n_out * k, -1),
+         unc[plan.groups].reshape(n_out * k, 1)], axis=1)
+    logits, _ = layer.detector.forward(x, False)
+    w = nnet.softmax_rows(logits.reshape(n_out, k))
+    p_out = (w[..., None] * member_pts).sum(axis=1)
+    desc_rows, _ = layer.descriptor.forward(x, False)
+    d_out = (w[..., None] * desc_rows.reshape(n_out, k, layer.out_dim)).sum(axis=1)
+    u_rows, _ = layer.uncertainty.forward(d_out)
+    return p_out, d_out, u_rows.reshape(n_out)
+
+
+class TestBlockedForward:
+    def test_eval_blocks_match_whole_batch_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        cfg = bb.LayerConfig(300, 64, (32, 32, 64))
+        layer = bb.DetectorDescriptorLayer(32, cfg, np.random.default_rng(18))
+        rows = bb._FORWARD_BLOCK_ENTRIES // (cfg.k_group * 64)
+        assert cfg.n_out > 2 * rows and cfg.n_out % rows  # 3 blocks, the last partial
+        cloud = make_cloud(rng, 900)
+        feats = rng.normal(size=(900, 32))
+        unc = rng.uniform(size=900)
+        plan = layer.plan(cloud, unc, seed=2, weighted=True)
+        *got, cache = layer.forward(cloud, feats, unc, plan, train=False)
+        assert cache is None
+        for a, b in zip(got, whole_batch_forward(layer, cloud, feats, unc, plan)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_caches_exist_exactly_in_train_mode(self):
+        rng = np.random.default_rng(19)
+        net = bb.Backbone(np.random.default_rng(20), scale=0.125)
+        cloud = make_cloud(rng, 256)
+        assert net.forward(cloud, seed=0, train=False).cache is None
+        assert net.forward(cloud, seed=0, train=True).cache is not None
+
+
 class TestBackboneGradients:
     def test_full_backbone_gradcheck_on_toy_cloud(self):
         rng = np.random.default_rng(15)
@@ -127,7 +169,7 @@ class TestBackboneGradients:
         def fb():
             for p in params.values():
                 p.zero_grad()
-            out = net.forward(cloud, seed=0, train=True, plans=plans, want_cache=True)
+            out = net.forward(cloud, seed=0, train=True, plans=plans)
             loss = ((out.coarse.points * proj["cp"]).sum()
                     + (out.coarse.descriptors * proj["cd"]).sum()
                     + (out.coarse.uncertainties * proj["cu"]).sum()

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,36 @@ class TestStacks:
 
         assert nnet.finite_diff_check(fb, dict(stack.named_params("s")), h=1e-5) < 1e-6
 
+    def test_eval_mode_gradcheck_rejects_a_train_mode_rebuild(self):
+        # A wrong eval-mode backward that rebuilds the batch-norm cache in
+        # train mode also moves the running statistics, so every probe sees
+        # a different loss, every coordinate looks kinked and is skipped.
+        rng = np.random.default_rng(17)
+        stack = self.eval_stack(rng)
+        x = rng.normal(size=(10, 5))
+        target = rng.normal(size=(10, 3))
+
+        def train_mode_rebuild(block, cache, grad_out):
+            x_in, _, pre = cache
+            z, lin_cache = block.lin.forward(x_in)
+            _, bn_cache = block.bn.forward(z, train=True)
+            g = block.bn.backward(bn_cache, nnet.relu_backward(grad_out, pre))
+            return block.lin.backward(lin_cache, g)
+
+        for block in stack.blocks:
+            block.backward = functools.partial(train_mode_rebuild, block)
+
+        def fb():
+            for _, p in stack.named_params("s"):
+                p.zero_grad()
+            y, cache = stack.forward(x, train=False)
+            loss, grad = mse_loss_grad(y, target)
+            stack.backward(cache, grad)
+            return loss
+
+        with pytest.raises(ValueError, match="skipped all"):
+            nnet.finite_diff_check(fb, dict(stack.named_params("s")), h=1e-5)
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(14)
         stack = nnet.CBRStack(3, (4,), 2, rng)
@@ -351,9 +383,21 @@ class TestFiniteDiffCheck:
         assert nnet.finite_diff_check(fb, params, h=1e-5) > 1e-3
 
     def test_coordinate_on_the_kink_is_skipped(self):
-        # No step, however small, leaves the kink: the derivative is undefined.
+        # No step, however small, leaves the kink: the derivative is
+        # undefined. A check that skipped every coordinate measured nothing.
         fb, params = self.kinked_line(0.0, 2.01)
-        assert nnet.finite_diff_check(fb, params, h=1e-5) == 0.0
+        with pytest.raises(ValueError, match="skipped all 1 probed"):
+            nnet.finite_diff_check(fb, params, h=1e-5)
+        # Beside a scored coordinate, the skipped one leaves the score alone.
+        kinked, = params.values()
+        smooth = nnet.Param(np.array([0.5]))
+        for slope, score in ((1.0, 0.0), (-1.0, 1.0)):
+            def both():
+                smooth.zero_grad()
+                smooth.grad[0] = slope
+                return fb() + smooth.value[0] ** 2
+            got = nnet.finite_diff_check(both, {"x": kinked, "y": smooth}, h=1e-5)
+            assert got == pytest.approx(score, abs=1e-6)
 
     def test_smooth_wrong_gradient_scores_one(self):
         rng = np.random.default_rng(15)

@@ -144,11 +144,11 @@ class TestTrainingStep:
 
         def fb():
             model.zero_grads()
-            total, _ = training.training_loss(model, pair, ctx, train=True)
+            total, _ = training.training_loss(model, pair, ctx)
             return total
 
         def loss_only():
-            total, _ = training.training_loss(model, pair, ctx, train=True,
+            total, _ = training.training_loss(model, pair, ctx,
                                               compute_grads=False)
             return total
 
@@ -174,7 +174,7 @@ class TestTrainingStep:
             vals = []
             for pair in pairs:
                 ctx, so, to = training.make_step_context(model, pair, rng)
-                total, _ = training.training_loss(model, pair, ctx, train=True,
+                total, _ = training.training_loss(model, pair, ctx,
                                                   compute_grads=False,
                                                   outputs=(so, to))
                 vals.append(total)
@@ -189,7 +189,7 @@ class TestTrainingStep:
                 optimizer.zero_grad()
                 for pair in pairs[start:start + cfg.batch_size]:
                     ctx, so, to = training.make_step_context(model, pair, rng)
-                    training.training_loss(model, pair, ctx, train=True,
+                    training.training_loss(model, pair, ctx,
                                            grad_scale=1.0 / cfg.batch_size,
                                            outputs=(so, to))
                 optimizer.step()
