@@ -3,9 +3,11 @@ and autoregressive diffusion refinement."""
 
 import os
 
-# Desk-scale array shapes lose more to BLAS thread synchronization than they
-# gain; single-threaded math is faster here and keeps runs reproducible.
-# Respected only when the caller has not chosen a value.
+# BLAS stays single-threaded: desk-scale array shapes lose more to BLAS
+# thread synchronization than they gain, and one thread per product keeps
+# runs reproducible. The parallelism is across the two clouds instead:
+# register_pair runs each cloud's front half on its own thread. Respected
+# only when the caller has not chosen a value.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

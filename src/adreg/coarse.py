@@ -10,6 +10,11 @@ predictor scores the geometric and descriptor features of candidates
 retrieved by descriptor-space KNN over the purified coarse superpoints; in
 ``diffusion``, the weights decode a denoised correspondence over the same
 feature builders. Forward/backward pairs expose exact gradients end to end.
+
+The coarse stage starts from the two clouds' backbone outputs, which the
+caller computes (``training.register_pair`` runs the two sides' front
+halves concurrently): ``coarse_register`` fits a GMM per side, rejects
+outliers bidirectionally, retrieves candidates and solves the head.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bgmm, nnet
-from .backbone import Backbone, FeatureSet
+from .backbone import BackboneOutput, FeatureSet
 from .geometry import RigidTransform, knn_search, skew
 
 WEIGHT_FLOOR = 1e-12
@@ -403,17 +408,15 @@ def purified_candidates(src_coarse: FeatureSet, tgt_coarse: FeatureSet, *,
     return src_pure, tgt_pure, (src_mask, tgt_mask), cand_idx
 
 
-def coarse_register(src_cloud, tgt_cloud, backbone: Backbone,
+def coarse_register(src_out: BackboneOutput, tgt_out: BackboneOutput,
                     predictor: nnet.CBRStack, confidence: ConfidenceHead,
                     *, gmm_components: int = 8, bgmm_topk: int = 2,
                     candidates: int = 3, seed: int = 0):
-    """Full coarse stage on raw clouds (inference mode).
+    """The coarse stage after the two eval-mode backbone forwards: the
+    purified candidates, then the coarse head.
 
-    Returns (transform, diagnostics, src_backbone_out, tgt_backbone_out,
-    coarse masks) so the fine stage can reuse the backbone outputs.
+    Returns (transform, diagnostics, coarse masks).
     """
-    src_out = backbone.forward(src_cloud, seed=seed, train=False)
-    tgt_out = backbone.forward(tgt_cloud, seed=seed, train=False)
     src_pure, tgt_pure, masks, cand_idx = purified_candidates(
         src_out.coarse, tgt_out.coarse, gmm_components=gmm_components,
         bgmm_topk=bgmm_topk, candidates=candidates, seed=seed)
@@ -427,4 +430,4 @@ def coarse_register(src_cloud, tgt_cloud, backbone: Backbone,
         src_total=len(src_out.coarse), src_kept=int(masks[0].sum()),
         tgt_total=len(tgt_out.coarse), tgt_kept=int(masks[1].sum()),
         mean_confidence=float(conf.mean()))
-    return transform, diag, src_out, tgt_out, masks
+    return transform, diag, masks

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -417,16 +418,29 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
                   seed: int = 0, steps: int | None = None, candidates: int | None = None,
                   gt: RigidTransform | None = None,
                   preprocess: bool = True) -> RegistrationResult:
-    """Run the full coarse + autoregressive fine pipeline on a cloud pair."""
+    """Run the full coarse + autoregressive fine pipeline on a cloud pair.
+
+    Each cloud's front half (``preprocess_cloud``, then the eval-mode
+    backbone) depends on that cloud alone, so the target's runs on a worker
+    thread while the source's runs on the calling thread; an exception in
+    either re-raises here. Eval-mode forwards write no shared state.
+    """
     cfg = model.config
     k = candidates if candidates is not None else cfg.candidates
-    if preprocess:
-        src_cloud = preprocess_cloud(src_cloud, cfg, seed)
-        tgt_cloud = preprocess_cloud(tgt_cloud, cfg, seed + 1)
-    coarse_tf, diag, src_out, tgt_out, _ = coarse.coarse_register(
-        src_cloud, tgt_cloud, model.backbone, model.predictor,
-        model.coarse_confidence, gmm_components=cfg.gmm_components,
-        bgmm_topk=cfg.bgmm_topk, candidates=k, seed=seed)
+
+    def front_half(cloud, cloud_seed):
+        if preprocess:
+            cloud = preprocess_cloud(cloud, cfg, cloud_seed)
+        return model.backbone.forward(cloud, seed=seed, train=False)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        tgt_future = worker.submit(front_half, tgt_cloud, seed + 1)
+        src_out = front_half(src_cloud, seed)
+        tgt_out = tgt_future.result()
+    coarse_tf, diag, _ = coarse.coarse_register(
+        src_out, tgt_out, model.predictor, model.coarse_confidence,
+        gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,
+        candidates=k, seed=seed)
     final, buffer, trace = diffusion.autoregressive_infer(
         coarse_tf, src_out.fine, tgt_out.fine, model.denoiser,
         model.fine_confidence, model.schedule, k=k,

@@ -310,9 +310,9 @@ class TestCoarseRegister:
     def test_identity_pair_with_single_candidate(self):
         backbone, pred, conf = self.make_model()
         cloud = self.make_cloud(np.random.default_rng(21))
-        transform, diag, _, _, _ = coarse.coarse_register(
-            cloud, cloud.copy(), backbone, pred, conf,
-            gmm_components=8, bgmm_topk=2, candidates=1, seed=0)
+        transform, diag, _ = coarse.coarse_register(
+            backbone.forward(cloud, seed=0), backbone.forward(cloud.copy(), seed=0),
+            pred, conf, gmm_components=8, bgmm_topk=2, candidates=1, seed=0)
         angle = np.degrees(np.arccos(np.clip((np.trace(transform.rotation) - 1) / 2, -1, 1)))
         assert np.linalg.norm(transform.translation) < 1e-6
         assert angle < 1e-6
@@ -326,8 +326,8 @@ class TestCoarseRegister:
         src = self.make_cloud(rng)
         gt = random_rigid_transform(rng, 5.0, 0.5)
         tgt = geometry.apply_transform(gt, src)
-        transform, diag, _, _, _ = coarse.coarse_register(
-            src, tgt, backbone, pred, conf,
-            gmm_components=8, bgmm_topk=2, candidates=3, seed=0)
+        transform, diag, _ = coarse.coarse_register(
+            backbone.forward(src, seed=0), backbone.forward(tgt, seed=0),
+            pred, conf, gmm_components=8, bgmm_topk=2, candidates=3, seed=0)
         assert np.isfinite(transform.translation).all()
         assert 0.0 < diag.mean_confidence < 1.0

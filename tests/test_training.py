@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,9 @@ class TestTrainingStep:
         norms = {k: float(np.abs(p.grad).max()) for k, p in model.named_params().items()}
         assert all(v > 0 for v in norms.values()), \
             [k for k, v in norms.items() if v == 0]
+        # An eval-mode forward keeps no caches to backpropagate.
+        with pytest.raises(ValueError, match="train-mode forward"):
+            training.training_loss(model, pair, ctx, train=False)
 
     def test_full_loss_gradcheck(self):
         cfg = tiny_config()
@@ -262,3 +268,49 @@ class TestRegisterPair:
         b = training.register_pair(model, pair.source, pair.target, seed=3)
         np.testing.assert_array_equal(a.transform.rotation, b.transform.rotation)
         np.testing.assert_array_equal(a.transform.translation, b.transform.translation)
+
+    def test_concurrent_calls_on_one_model_match_sequential(self):
+        # More threads than cores on one shared model, switching as often as
+        # the interpreter allows: a race on shared state in either cloud's
+        # front half would show as a result that differs from the sequential one.
+        cfg = tiny_config()
+        model = training.RegistrationModel(cfg)
+        pairs = [training.gen_synthetic_pair(np.random.default_rng(40 + i),
+                                             cfg.train_points, 5.0, 0.5, 0.02, 0)
+                 for i in range(4)]
+        want = [training.register_pair(model, p.source, p.target, seed=i)
+                for i, p in enumerate(pairs)]
+        got = [None] * len(pairs)
+
+        def work(i):
+            got[i] = training.register_pair(model, pairs[i].source,
+                                            pairs[i].target, seed=i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(pairs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(got, want):
+            for tf in ("transform", "coarse_transform"):
+                assert getattr(a, tf).rotation.tobytes() == getattr(b, tf).rotation.tobytes()
+                assert getattr(a, tf).translation.tobytes() == \
+                    getattr(b, tf).translation.tobytes()
+            assert a.diagnostics == b.diagnostics
+
+    def test_small_target_raises_and_leaves_no_thread(self):
+        cfg = tiny_config()
+        model = training.RegistrationModel(cfg)
+        pair = training.gen_synthetic_pair(np.random.default_rng(13),
+                                           cfg.train_points, 5.0, 0.5, cfg.jitter, 0)
+        n_out = model.backbone.configs[0].n_out
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match=f"backbone needs at least {n_out} points"):
+            training.register_pair(model, pair.source, pair.target[:n_out - 1])
+        assert set(threading.enumerate()) == before
