@@ -5,9 +5,10 @@ import os
 
 # BLAS stays single-threaded: desk-scale array shapes lose more to BLAS
 # thread synchronization than they gain, and one thread per product keeps
-# runs reproducible. The parallelism is across the two clouds instead:
-# register_pair runs each cloud's front half on its own thread. Respected
-# only when the caller has not chosen a value.
+# runs reproducible. The parallelism is across the two clouds instead
+# (training.on_both_sides): register_pair runs each cloud's front half on
+# its own thread, and a training step each cloud's backbone forward and
+# backward. Respected only when the caller has not chosen a value.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

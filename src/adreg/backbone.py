@@ -16,7 +16,8 @@ import numpy as np
 
 from . import nnet
 from .geometry import as_points, farthest_point_sample, knn_search
-from .nnet import softmax_rows, softmax_rows_backward
+from .nnet import (fuse_candidates, fuse_candidates_backward, scatter_candidates,
+                   softmax_rows, softmax_rows_backward)
 
 # Uncertainty channel fed to the first layer, which has no estimate yet.
 INITIAL_UNCERTAINTY = 0.5
@@ -53,8 +54,9 @@ def scaled_layer_configs(scale: float = 1.0) -> tuple[LayerConfig, ...]:
     input (at 1/32, 32 of 32 and 16 of 16 points) and every output point
     of such a layer fuses the same members.
     """
-    if scale <= 0:
-        raise ValueError("backbone scale must be positive")
+    if not 0 < scale * FULL_SCALE_LAYERS[0].n_out < np.inf:
+        raise ValueError(f"backbone_scale {scale!r} must be positive and "
+                         "leave the layer sizes finite")
     return tuple(
         LayerConfig(max(1, round(cfg.n_out * scale)), cfg.k_group, cfg.widths)
         for cfg in FULL_SCALE_LAYERS)
@@ -116,7 +118,8 @@ class DetectorDescriptorLayer:
         """Fuse each group into an output point, descriptor and uncertainty.
 
         Returns (p_out, d_out, u_out, cache). Only train mode returns a
-        cache, for ``backward``. Eval mode walks the output points in blocks
+        cache, for ``backward`` and ``update_running_stats``; it leaves the
+        running statistics alone. Eval mode walks the output points in blocks
         whose widest activation holds about ``_FORWARD_BLOCK_ENTRIES``
         entries; train mode takes every row in one block, because batch
         statistics and the backward pass need them all.
@@ -140,10 +143,9 @@ class DetectorDescriptorLayer:
                  unc[groups].reshape(n * k, 1)], axis=1)
             logits, det_cache = self.detector.forward(x, train)
             w = softmax_rows(logits.reshape(n, k))
-            p_out[block] = (w[..., None] * member_pts).sum(axis=1)
             desc_rows, desc_cache = self.descriptor.forward(x, train)
             desc_feat = desc_rows.reshape(n, k, self.out_dim)
-            d_out[block] = (w[..., None] * desc_feat).sum(axis=1)
+            p_out[block], d_out[block] = fuse_candidates(w, member_pts, desc_feat)
         u_rows, unc_cache = self.uncertainty.forward(d_out)
         u_out = u_rows.reshape(n_out)
         if not train:
@@ -153,36 +155,38 @@ class DetectorDescriptorLayer:
                  "unc": unc_cache}
         return p_out, d_out, u_out, cache
 
-    def backward(self, cache, g_pts_out, g_desc_out, g_unc_out):
+    def update_running_stats(self, cache):
+        self.detector.update_running_stats(cache["det"])
+        self.descriptor.update_running_stats(cache["desc"])
+
+    def backward(self, cache, g_pts_out, g_desc_out, g_unc_out, *, raw_input=False):
+        """Accumulate parameter gradients; return the gradients of the layer
+        input's (points, features, uncertainties). With ``raw_input`` the
+        input points are the model input and the uncertainties a constant,
+        as at the first layer: their gradients are not built (None)."""
         plan, w = cache["plan"], cache["w"]
-        member_pts, desc_feat = cache["member_pts"], cache["desc_feat"]
         n_out, k = plan.groups.shape
 
         g_desc_out = g_desc_out + self.uncertainty.backward(
             cache["unc"], g_unc_out.reshape(n_out, 1))
-
-        g_w = (desc_feat * g_desc_out[:, None, :]).sum(axis=-1)
-        g_desc_feat = w[..., None] * g_desc_out[:, None, :]
-        g_w += (member_pts * g_pts_out[:, None, :]).sum(axis=-1)
-        g_member_pts = w[..., None] * g_pts_out[:, None, :]
+        g_w, g_member_pts, g_desc_feat = fuse_candidates_backward(
+            w, cache["member_pts"], cache["desc_feat"], g_pts_out, g_desc_out)
 
         g_logits = softmax_rows_backward(g_w, w)
         g_x = self.detector.backward(cache["det"], g_logits.reshape(n_out * k, 1))
         g_x = g_x + self.descriptor.backward(
             cache["desc"], g_desc_feat.reshape(n_out * k, self.out_dim))
 
+        n_in, c = cache["n_in"], self.in_feat_dim
+        g_feats_in = scatter_candidates(np.zeros((n_in, c)), plan.groups,
+                                        g_x[:, 3:3 + c])
+        if raw_input:
+            return None, g_feats_in, None
         g_rel = g_x[:, :3].reshape(n_out, k, 3)
-        g_member_feats = g_x[:, 3:3 + self.in_feat_dim]
-        g_member_unc = g_x[:, 3 + self.in_feat_dim]
-
-        g_member_pts = g_member_pts + g_rel
-        g_pts_in = np.zeros((cache["n_in"], 3))
-        np.add.at(g_pts_in, plan.groups.reshape(-1), g_member_pts.reshape(-1, 3))
-        np.add.at(g_pts_in, plan.selected, -g_rel.sum(axis=1))
-        g_feats_in = np.zeros((cache["n_in"], self.in_feat_dim))
-        np.add.at(g_feats_in, plan.groups.reshape(-1), g_member_feats)
-        g_unc_in = np.zeros(cache["n_in"])
-        np.add.at(g_unc_in, plan.groups.reshape(-1), g_member_unc)
+        g_pts_in = scatter_candidates(np.zeros((n_in, 3)), plan.groups,
+                                      g_member_pts + g_rel)
+        scatter_candidates(g_pts_in, plan.selected, -g_rel.sum(axis=1))
+        g_unc_in = scatter_candidates(np.zeros(n_in), plan.groups, g_x[:, 3 + c])
         return g_pts_in, g_feats_in, g_unc_in
 
     def named_params(self, prefix: str):
@@ -200,7 +204,8 @@ class BackboneOutput:
     fine: FeatureSet
     coarse: FeatureSet
     plans: tuple[LayerPlan, ...]
-    cache: dict | None  # train mode only; Backbone.backward consumes it
+    # Train mode only, for Backbone.backward and update_running_stats.
+    cache: dict | None
 
 
 class Backbone:
@@ -241,21 +246,25 @@ class Backbone:
         return BackboneOutput(fine=outputs[1], coarse=outputs[2],
                               plans=tuple(used_plans), cache=cache)
 
+    def update_running_stats(self, output: BackboneOutput):
+        """Fold a train-mode forward's batch statistics into the running
+        statistics of every batch norm."""
+        for layer, cache in zip(self.layers, output.cache["layers"]):
+            layer.update_running_stats(cache)
+
     def backward(self, output: BackboneOutput, g_coarse, g_fine):
         """Accumulate parameter gradients given output-side gradients.
 
         ``g_coarse``/``g_fine`` are (g_points, g_descriptors, g_uncertainties)
-        triples for the coarse and fine feature sets.
+        triples for the coarse and fine feature sets. The input cloud gets
+        no gradient.
         """
         caches = output.cache["layers"]
-        gp, gd, gu = g_coarse
         fp, fd, fu = g_fine
-        gp2, gd2, gu2 = self.layers[2].backward(caches[2], gp, gd, gu)
-        gp1, gd1, gu1 = self.layers[1].backward(
-            caches[1], gp2 + fp, gd2 + fd, gu2 + fu)
-        g_pts0, g_feats0, _ = self.layers[0].backward(caches[0], gp1, gd1, gu1)
-        g_pts0 = g_pts0 + self.lift.backward(output.cache["lift"], g_feats0)
-        return g_pts0
+        gp, gd, gu = self.layers[2].backward(caches[2], *g_coarse)
+        gp, gd, gu = self.layers[1].backward(caches[1], gp + fp, gd + fd, gu + fu)
+        _, g_feats, _ = self.layers[0].backward(caches[0], gp, gd, gu, raw_input=True)
+        self.lift.accumulate_grads(output.cache["lift"], g_feats)
 
     def named_params(self, prefix: str = "backbone"):
         yield from self.lift.named_params(f"{prefix}.lift")

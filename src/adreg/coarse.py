@@ -26,6 +26,7 @@ import numpy as np
 from . import bgmm, nnet
 from .backbone import BackboneOutput, FeatureSet
 from .geometry import RigidTransform, knn_search, skew
+from .nnet import fuse_candidates, fuse_candidates_backward, scatter_candidates
 
 WEIGHT_FLOOR = 1e-12
 NORM_EPS = 1e-12
@@ -69,14 +70,6 @@ class ConfidenceHead:
 
 def _safe_norms(vecs: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(vecs, axis=-1), NORM_EPS)
-
-
-def scatter_candidates(out: np.ndarray, cand_idx: np.ndarray,
-                       g_cand: np.ndarray) -> np.ndarray:
-    """Add per-candidate gradients (N, K, ...) into their target rows of
-    ``out``, in place; returns ``out``."""
-    np.add.at(out, cand_idx.reshape(-1), g_cand.reshape((-1,) + out.shape[1:]))
-    return out
 
 
 def geometric_features(src_pts: np.ndarray, tgt_pts: np.ndarray,
@@ -162,15 +155,19 @@ def descriptor_features_backward(cache, g_f_d: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Candidate weighting and fusion
+# Candidate weighting
 
 
 def predict_candidate_weights(predictor: nnet.CBRStack, f_g: np.ndarray,
                               f_d: np.ndarray, train: bool):
-    """Softmax over each row's candidates of the predictor's scores."""
+    """Softmax over each row's candidates of the predictor's scores. A
+    train-mode call folds its batch statistics in at once: the head runs on
+    one thread."""
     n, k = f_g.shape[:2]
     rows = np.concatenate([f_g.reshape(n * k, -1), f_d.reshape(n * k, -1)], axis=1)
     logits, stack_cache = predictor.forward(rows, train)
+    if train:
+        predictor.update_running_stats(stack_cache)
     weights = nnet.softmax_rows(logits.reshape(n, k))
     cache = {"weights": weights, "geo_dim": f_g.shape[-1], "stack": stack_cache}
     return weights, cache
@@ -185,22 +182,6 @@ def predict_candidate_weights_backward(predictor: nnet.CBRStack, cache,
     g_rows = predictor.backward(cache["stack"], g_logits.reshape(n * k, 1))
     gd = cache["geo_dim"]
     return g_rows[:, :gd].reshape(n, k, gd), g_rows[:, gd:].reshape(n, k, -1)
-
-
-def fuse_candidates(weights: np.ndarray, cand_pts: np.ndarray,
-                    cand_desc: np.ndarray):
-    """Convex combination of candidate coordinates and descriptors per row."""
-    fused_pts = (weights[..., None] * cand_pts).sum(axis=1)
-    fused_desc = (weights[..., None] * cand_desc).sum(axis=1)
-    return fused_pts, fused_desc
-
-
-def fuse_candidates_backward(weights, cand_pts, cand_desc, g_fused_pts, g_fused_desc):
-    g_weights = (cand_pts * g_fused_pts[:, None, :]).sum(-1)
-    g_weights += (cand_desc * g_fused_desc[:, None, :]).sum(-1)
-    g_cand_pts = weights[..., None] * g_fused_pts[:, None, :]
-    g_cand_desc = weights[..., None] * g_fused_desc[:, None, :]
-    return g_weights, g_cand_pts, g_cand_desc
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ import numpy as np
 from . import nnet
 from .backbone import FeatureSet
 from .coarse import (ConfidenceHead, DegeneracyError, decode_backward,
-                     decode_forward, descriptor_features, geometric_features,
-                     scatter_candidates)
+                     decode_forward, descriptor_features, geometric_features)
 from .geometry import (RigidTransform, apply_transform, compose, knn_search,
                        transform_errors)
+from .nnet import scatter_candidates
 
 TIME_EMBED_DIM = 16
 DENOISER_WIDTHS = (64, 64, 32)
@@ -178,7 +178,9 @@ def make_denoiser(descriptor_dim: int, rng: np.random.Generator) -> nnet.CBRStac
 
 def denoiser_forward(denoiser: nnet.CBRStack, c_t: np.ndarray, t: int, n_steps: int,
                      f_g: np.ndarray, f_d: np.ndarray, train: bool):
-    """Predict the clean correspondence matrix from its noised version."""
+    """Predict the clean correspondence matrix from its noised version. A
+    train-mode call folds its batch statistics in at once: the denoiser runs
+    on one thread."""
     n, k = c_t.shape
     if f_g.shape[:2] != (n, k) or f_d.shape[:2] != (n, k):
         raise ValueError("conditioning features do not match the correspondence shape")
@@ -191,6 +193,8 @@ def denoiser_forward(denoiser: nnet.CBRStack, c_t: np.ndarray, t: int, n_steps: 
          f_g.reshape(n * k, -1),
          f_d.reshape(n * k, -1)], axis=1)
     out, stack_cache = denoiser.forward(rows, train)
+    if train:
+        denoiser.update_running_stats(stack_cache)
     c0_hat = out.reshape(n, k)
     cache = {"shape": (n, k), "gd": f_g.shape[-1], "dd": f_d.shape[-1],
              "stack": stack_cache}

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .backbone import scaled_layer_configs
 from .geometry import RigidTransform, as_points
 
 CHECKPOINT_MAGIC = b"ADRG"
@@ -256,6 +258,29 @@ class RunConfig:
                 raise ValueError(f"config {name} must be > 0")
         if not 0 < self.beta_start <= self.beta_end < 1:
             raise ValueError("config requires 0 < beta_start <= beta_end < 1")
+        self._check_layer_sizes()
+
+    def _check_layer_sizes(self):
+        """The GMM, the rejection rule and the candidate search run on the
+        coarse superpoints, so their sizes must fit the coarse layer that
+        ``backbone_scale`` gives; settings that do not fit would fail at the
+        first registration instead."""
+        sizes = [cfg.n_out for cfg in scaled_layer_configs(self.backbone_scale)]
+        if sizes != sorted(sizes, reverse=True):
+            raise ValueError(f"config backbone_scale {self.backbone_scale!r} gives "
+                             f"layer sizes {sizes} that grow from layer to layer")
+        n_coarse = sizes[-1]
+        where = (f"the {n_coarse} coarse superpoints of "
+                 f"backbone_scale {self.backbone_scale!r}")
+        if self.bgmm_topk > self.gmm_components:
+            raise ValueError(f"config bgmm_topk ({self.bgmm_topk}) must be <= "
+                             f"gmm_components ({self.gmm_components})")
+        if self.gmm_components > n_coarse:
+            raise ValueError(f"config gmm_components ({self.gmm_components}) must "
+                             f"be <= {where}")
+        if max(3, self.candidates) > n_coarse:
+            raise ValueError(f"config max(3, candidates) ({max(3, self.candidates)}) "
+                             f"must be <= {where}")
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -263,6 +288,7 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     values = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -277,10 +303,14 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             values[key] = int(val) if kind in (int, "int") else float(val)
         except ValueError:
             raise FormatError(f"{source}: line {lineno}: bad value '{val}' for '{key}'") from None
+        lines[key] = lineno
     try:
         return RunConfig(**values)
     except ValueError as exc:
-        raise FormatError(f"{source}: {exc}") from None
+        # Point at the last line that set a field the message names.
+        named = [n for key, n in lines.items() if re.search(rf"\b{key}\b", str(exc))]
+        where = f"{source}: line {max(named)}" if named else source
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def format_config(cfg: RunConfig) -> str:

@@ -2,12 +2,19 @@
 activations, and Adam, all in float64 with hand-written analytic backwards.
 
 Layers are stateless between calls: ``forward`` returns ``(output, cache)``
-and ``backward(cache, grad_out)`` consumes that cache, accumulating parameter
-gradients in place (callers zero them). This keeps interleaved forwards over
-several inputs safe to backpropagate in any order.
+and ``backward(cache, grad_out)`` consumes that cache, adding parameter
+gradients through ``Param.accumulate`` (callers zero them). A train-mode
+batch norm returns its batch statistics in the cache instead of updating its
+running ones, and inside ``gradient_buffers`` a thread's parameter gradients
+go to buffers of its own. So forwards and backwards over several inputs may
+interleave, or run on separate threads, and their statistics and gradients
+are then applied in an order the caller fixes.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +25,10 @@ BN_EPS = 1e-5
 # most KINK_SHRINKS times, before the coordinate is skipped.
 KINK_RTOL = 1e-4
 KINK_SHRINKS = 3
+
+# The gradient buffers of the calling thread while it is inside
+# ``gradient_buffers``; unset elsewhere.
+_SINK = threading.local()
 
 
 class Param:
@@ -31,6 +42,37 @@ class Param:
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+    def accumulate(self, g: np.ndarray):
+        """Add ``g`` to the gradient, or to the calling thread's buffer for
+        this parameter inside ``gradient_buffers``."""
+        buffers = getattr(_SINK, "buffers", None)
+        if buffers is None:
+            self.grad += g
+        elif self in buffers:
+            buffers[self] += g
+        else:
+            buffers[self] = np.array(g, dtype=np.float64)
+
+
+@contextmanager
+def gradient_buffers():
+    """Collect the calling thread's parameter gradients in a fresh dict
+    (Param -> array) instead of ``Param.grad``; ``add_gradients`` adds them
+    in later. Threads backpropagating through shared layers then never write
+    one array, and adding their dicts in a fixed order keeps the sums
+    reproducible."""
+    buffers: dict[Param, np.ndarray] = {}
+    _SINK.buffers = buffers
+    try:
+        yield buffers
+    finally:
+        _SINK.buffers = None
+
+
+def add_gradients(buffers: dict[Param, np.ndarray]):
+    for p, g in buffers.items():
+        p.grad += g
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -61,12 +103,17 @@ class Linear:
         return _check_finite(x @ self.w.value.T + self.b.value, "linear output"), x
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        self.accumulate_grads(cache, grad_out)
+        return grad_out @ self.w.value
+
+    def accumulate_grads(self, cache, grad_out: np.ndarray):
+        """The parameter half of ``backward``, for a caller that needs no
+        input gradient."""
         x = cache
         if grad_out.shape != (x.shape[0], self.w.value.shape[0]):
             raise ValueError("gradient shape does not match forward output")
-        self.w.grad += grad_out.T @ x
-        self.b.grad += grad_out.sum(axis=0)
-        return grad_out @ self.w.value
+        self.w.accumulate(grad_out.T @ x)
+        self.b.accumulate(grad_out.sum(axis=0))
 
     def named_params(self, prefix: str):
         yield f"{prefix}.w", self.w
@@ -74,7 +121,11 @@ class Linear:
 
 
 class BatchNorm:
-    """Per-channel batch normalization with running statistics for eval mode."""
+    """Per-channel batch normalization with running statistics for eval mode.
+
+    A train-mode forward leaves the running statistics alone: its cache
+    carries the batch mean and variance, which ``update_running_stats``
+    folds in."""
 
     def __init__(self, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
         self.gamma = Param(np.ones(dim))
@@ -93,22 +144,29 @@ class BatchNorm:
             mean = x.mean(axis=0)
             centered = x - mean
             var = np.einsum("ij,ij->j", centered, centered) / len(x)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat = centered * inv_std
+            stats = (mean, var)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean) * inv_std
+            stats = None
         out = _check_finite(self.gamma.value * xhat + self.beta.value, "batchnorm output")
-        return out, (xhat, inv_std, train, len(x))
+        return out, (xhat, inv_std, len(x), stats)
+
+    def update_running_stats(self, cache):
+        """Fold a train-mode forward's batch mean and variance into the
+        running statistics."""
+        mean, var = cache[3]
+        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        xhat, inv_std, train, n = cache
-        self.gamma.grad += np.einsum("ij,ij->j", grad_out, xhat)
-        self.beta.grad += grad_out.sum(axis=0)
+        xhat, inv_std, n, stats = cache
+        self.gamma.accumulate(np.einsum("ij,ij->j", grad_out, xhat))
+        self.beta.accumulate(grad_out.sum(axis=0))
         g = grad_out * self.gamma.value
-        if not train:
+        if stats is None:
             return g * inv_std
         sum_g = g.sum(axis=0)
         sum_gx = np.einsum("ij,ij->j", g, xhat)
@@ -128,6 +186,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient through ``relu`` given its input or, equally, its output:
+    both are positive at exactly the same entries."""
     return grad_out * (x > 0)
 
 
@@ -162,8 +222,37 @@ def softmax_rows_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * (grad_out - dot)
 
 
+def fuse_candidates(weights: np.ndarray, cand_pts: np.ndarray,
+                    cand_desc: np.ndarray):
+    """Per row, the ``weights``-weighted sum (N, K) of its candidates'
+    coordinates (N, K, 3) and descriptors (N, K, C)."""
+    fused_pts = (weights[..., None] * cand_pts).sum(axis=1)
+    fused_desc = (weights[..., None] * cand_desc).sum(axis=1)
+    return fused_pts, fused_desc
+
+
+def fuse_candidates_backward(weights, cand_pts, cand_desc, g_fused_pts, g_fused_desc):
+    """Returns (g_weights, g_cand_pts, g_cand_desc)."""
+    g_weights = (cand_pts * g_fused_pts[:, None, :]).sum(-1)
+    g_weights += (cand_desc * g_fused_desc[:, None, :]).sum(-1)
+    g_cand_pts = weights[..., None] * g_fused_pts[:, None, :]
+    g_cand_desc = weights[..., None] * g_fused_desc[:, None, :]
+    return g_weights, g_cand_pts, g_cand_desc
+
+
+def scatter_candidates(out: np.ndarray, cand_idx: np.ndarray,
+                       g_cand: np.ndarray) -> np.ndarray:
+    """Add per-candidate gradients (N, K, ...) into their target rows of
+    ``out``, in place; returns ``out``."""
+    np.add.at(out, cand_idx.reshape(-1), g_cand.reshape((-1,) + out.shape[1:]))
+    return out
+
+
 class CBR:
-    """Pointwise convolution + batch norm + ReLU, the basic network block."""
+    """Pointwise convolution + batch norm + ReLU, the basic network block.
+
+    The cache keeps the ReLU output for the backward mask, not the
+    pre-activation: the output is held anyway as the next layer's input."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.lin = Linear(in_dim, out_dim, rng)
@@ -173,7 +262,8 @@ class CBR:
         if train:
             z, lin_cache = self.lin.forward(x)
             pre, bn_cache = self.bn.forward(z, train)
-            return relu(pre), (lin_cache, bn_cache, pre)
+            out = relu(pre)
+            return out, (lin_cache, bn_cache, out)
         # Eval-mode batch norm is affine, so it folds into the linear map:
         # one product instead of five passes over the (N, out) output. The
         # fold is O(out * in) and redone per call, so it never goes stale.
@@ -182,16 +272,19 @@ class CBR:
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
         w = self.lin.w.value * scale[:, None]
         b = (self.lin.b.value - bn.running_mean) * scale + bn.beta.value
-        pre = _check_finite(x @ w.T + b, "batchnorm output")
-        return relu(pre), (x, None, pre)
+        out = relu(_check_finite(x @ w.T + b, "batchnorm output"))
+        return out, (x, None, out)
+
+    def update_running_stats(self, cache):
+        self.bn.update_running_stats(cache[1])
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        lin_cache, bn_cache, pre = cache
+        lin_cache, bn_cache, out = cache
         if bn_cache is None:
             # A folded eval-mode forward: rebuild the unfolded caches.
             z, lin_cache = self.lin.forward(lin_cache)
             _, bn_cache = self.bn.forward(z, False)
-        g = self.bn.backward(bn_cache, relu_backward(grad_out, pre))
+        g = self.bn.backward(bn_cache, relu_backward(grad_out, out))
         return self.lin.backward(lin_cache, g)
 
     def named_params(self, prefix: str):
@@ -222,6 +315,10 @@ class CBRStack:
             x, c = self.head.forward(x)
             caches.append(c)
         return x, caches
+
+    def update_running_stats(self, caches):
+        for block, cache in zip(self.blocks, caches):
+            block.update_running_stats(cache)
 
     def backward(self, caches, grad_out: np.ndarray) -> np.ndarray:
         g = grad_out
@@ -259,14 +356,15 @@ class MLP:
         y, c1 = self.lin1.forward(relu(pre))
         if self.sigmoid_out:
             y = sigmoid(y)
-        return y, (c0, pre, c1, y)
+        return y, (c0, c1, y)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        c0, pre, c1, y = cache
+        # lin1's cache is its input, the hidden ReLU output.
+        c0, c1, y = cache
         g = grad_out
         if self.sigmoid_out:
             g = sigmoid_backward(g, y)
-        g = relu_backward(self.lin1.backward(c1, g), pre)
+        g = relu_backward(self.lin1.backward(c1, g), c1)
         return self.lin0.backward(c0, g)
 
     def named_params(self, prefix: str):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import coarse, diffusion
+from . import coarse, diffusion, nnet
 from .backbone import Backbone
 from .coarse import (ConfidenceHead, DegeneracyError, coarse_head_backward,
                      coarse_head_forward, purified_candidates, purify)
@@ -287,16 +287,52 @@ class StepContext:
     c_t: np.ndarray
 
 
+def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
+    """``(fn(*src_args), fn(*tgt_args))``, the target's call running on a
+    worker thread while the source's runs on the calling thread.
+
+    The two calls must share no state that either writes. An exception on
+    either side re-raises here after both calls have ended, so no thread
+    outlives the call. BLAS stays single-threaded; this is the package's
+    one source of parallelism.
+    """
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        tgt_future = worker.submit(fn, *tgt_args)
+        src_result = fn(*src_args)
+        return src_result, tgt_future.result()
+
+
+def _backbone_forwards(model: RegistrationModel, pair: SyntheticPair, train: bool,
+                       plans: tuple = (None, None)):
+    """Both clouds' backbone forwards, run at once by ``on_both_sides``.
+
+    ``plans`` holds each side's sampling plans, or None to compute them. A
+    train-mode forward leaves the running statistics alone; each side's
+    batch statistics are folded in after both forwards end, source first,
+    then target, as two sequential forwards would.
+    """
+    def forward(cloud, cloud_plans):
+        return model.backbone.forward(cloud, seed=model.config.seed, train=train,
+                                      plans=cloud_plans)
+
+    src_out, tgt_out = on_both_sides(forward, (pair.source, plans[0]),
+                                     (pair.target, plans[1]))
+    if train:
+        model.backbone.update_running_stats(src_out)
+        model.backbone.update_running_stats(tgt_out)
+    return src_out, tgt_out
+
+
 def make_step_context(model: RegistrationModel, pair: SyntheticPair,
                       rng: np.random.Generator):
     """Fix plans, masks, candidates, supervision, and the noise draw.
 
-    Returns (context, src_backbone_out, tgt_backbone_out); the outputs carry
-    caches so the training step can reuse this forward pass.
+    Returns (context, src_backbone_out, tgt_backbone_out). The two train-mode
+    backbone forwards run at once (``_backbone_forwards``); their outputs
+    carry caches so the training step can reuse this forward pass.
     """
     cfg = model.config
-    src_out = model.backbone.forward(pair.source, seed=cfg.seed, train=True)
-    tgt_out = model.backbone.forward(pair.target, seed=cfg.seed, train=True)
+    src_out, tgt_out = _backbone_forwards(model, pair, train=True)
     _, _, (src_mask, tgt_mask), coarse_cand = purified_candidates(
         src_out.coarse, tgt_out.coarse, gmm_components=cfg.gmm_components,
         bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
@@ -321,9 +357,13 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     backpropagate ``grad_scale`` times its gradient into the parameters.
 
     ``outputs`` may carry the (src, tgt) backbone outputs produced while the
-    context was built, saving their recomputation. Only the train-mode
-    forward keeps the caches a backward pass needs, so ``train=False``
-    evaluates the loss alone.
+    context was built, saving their recomputation; otherwise both forwards
+    run at once through ``_backbone_forwards``. Only the train-mode forward
+    keeps the caches a backward pass needs, so ``train=False`` evaluates the
+    loss alone. The two backbone backwards also run at once, each into
+    gradient buffers of its own (``nnet.gradient_buffers``); the buffers are
+    then added into ``Param.grad``, source first, then target, which sums
+    exactly as two sequential backwards would.
     """
     if compute_grads and not train:
         raise ValueError("gradients need the train-mode forward; "
@@ -334,10 +374,8 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     if outputs is not None:
         src_out, tgt_out = outputs
     else:
-        src_out = model.backbone.forward(pair.source, seed=cfg.seed, train=train,
-                                         plans=ctx.src_plans)
-        tgt_out = model.backbone.forward(pair.target, seed=cfg.seed, train=train,
-                                         plans=ctx.tgt_plans)
+        src_out, tgt_out = _backbone_forwards(model, pair, train,
+                                              plans=(ctx.src_plans, ctx.tgt_plans))
     src_pure = purify(src_out.coarse, ctx.src_mask)
     tgt_pure = purify(tgt_out.coarse, ctx.tgt_mask)
     est_coarse, _, coarse_cache = coarse_head_forward(
@@ -393,11 +431,18 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     g_src_fd, g_src_fu, g_tgt_fd2, g_tgt_fu = coarse.descriptor_features_backward(
         fd_cache, g_f_d)
 
-    model.backbone.backward(src_out, g_coarse=g_coarse_src,
-                            g_fine=(g_src_fp, g_src_fd, g_src_fu))
-    model.backbone.backward(tgt_out, g_coarse=g_coarse_tgt,
-                            g_fine=(g_tgt_fp + g_tgt_fp2, g_tgt_fd + g_tgt_fd2,
-                                    g_tgt_fu))
+    def backbone_backward(out, g_coarse, g_fine):
+        with nnet.gradient_buffers() as grads:
+            model.backbone.backward(out, g_coarse=g_coarse, g_fine=g_fine)
+        return grads
+
+    src_grads, tgt_grads = on_both_sides(
+        backbone_backward,
+        (src_out, g_coarse_src, (g_src_fp, g_src_fd, g_src_fu)),
+        (tgt_out, g_coarse_tgt,
+         (g_tgt_fp + g_tgt_fp2, g_tgt_fd + g_tgt_fd2, g_tgt_fu)))
+    nnet.add_gradients(src_grads)
+    nnet.add_gradients(tgt_grads)
     return total, terms
 
 
@@ -421,9 +466,9 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
     """Run the full coarse + autoregressive fine pipeline on a cloud pair.
 
     Each cloud's front half (``preprocess_cloud``, then the eval-mode
-    backbone) depends on that cloud alone, so the target's runs on a worker
-    thread while the source's runs on the calling thread; an exception in
-    either re-raises here. Eval-mode forwards write no shared state.
+    backbone) depends on that cloud alone, so both run at once through
+    ``on_both_sides``; an exception in either re-raises here. Eval-mode
+    forwards write no shared state.
     """
     cfg = model.config
     k = candidates if candidates is not None else cfg.candidates
@@ -433,10 +478,8 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
             cloud = preprocess_cloud(cloud, cfg, cloud_seed)
         return model.backbone.forward(cloud, seed=seed, train=False)
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        tgt_future = worker.submit(front_half, tgt_cloud, seed + 1)
-        src_out = front_half(src_cloud, seed)
-        tgt_out = tgt_future.result()
+    src_out, tgt_out = on_both_sides(front_half, (src_cloud, seed),
+                                     (tgt_cloud, seed + 1))
     coarse_tf, diag, _ = coarse.coarse_register(
         src_out, tgt_out, model.predictor, model.coarse_confidence,
         gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,

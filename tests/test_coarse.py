@@ -220,13 +220,13 @@ class TestWeightsAndFusion:
         cand_desc = rng.normal(size=(5, 3, 4))
         weights = np.zeros((5, 3))
         weights[:, 1] = 1.0
-        fused_pts, fused_desc = coarse.fuse_candidates(weights, cand_pts, cand_desc)
+        fused_pts, fused_desc = nnet.fuse_candidates(weights, cand_pts, cand_desc)
         np.testing.assert_array_equal(fused_pts, cand_pts[:, 1])
         np.testing.assert_array_equal(fused_desc, cand_desc[:, 1])
 
     def test_symmetric_fusion(self):
         cand_pts = np.array([[[1.0, 0, 0], [-1.0, 0, 0]]])
-        fused, _ = coarse.fuse_candidates(np.array([[0.5, 0.5]]), cand_pts,
+        fused, _ = nnet.fuse_candidates(np.array([[0.5, 0.5]]), cand_pts,
                                           np.zeros((1, 2, 1)))
         np.testing.assert_allclose(fused, 0.0, atol=1e-15)
 
@@ -234,7 +234,7 @@ class TestWeightsAndFusion:
         rng = np.random.default_rng(16)
         cand_pts = rng.normal(size=(20, 4, 3))
         w = nnet.softmax_rows(rng.normal(size=(20, 4)))
-        fused, _ = coarse.fuse_candidates(w, cand_pts, np.zeros((20, 4, 1)))
+        fused, _ = nnet.fuse_candidates(w, cand_pts, np.zeros((20, 4, 1)))
         assert (fused >= cand_pts.min(axis=1) - 1e-12).all()
         assert (fused <= cand_pts.max(axis=1) + 1e-12).all()
 

@@ -176,6 +176,29 @@ class TestRunConfig:
         with pytest.raises(aio.FormatError):
             aio.parse_config("gmm_components = 0\n")
 
+    @pytest.mark.parametrize("text, line, fields", [
+        # K = 40 candidates among the 8 coarse superpoints of scale 1/32.
+        ("seed = 1\ncandidates = 40\nbackbone_scale = 0.03125\n", 3,
+         ("candidates", "backbone_scale")),
+        # The rejection rule's k = 9 exceeds the J = 8 mixture components.
+        ("bgmm_topk = 9\n", 1, ("bgmm_topk", "gmm_components")),
+        # Scale 1/64 leaves 4 coarse superpoints for 8 components.
+        ("backbone_scale = 0.015625\n", 1, ("gmm_components", "backbone_scale")),
+    ], ids=["candidates-40-at-1/32", "topk-9-of-8", "scale-1/64"])
+    def test_settings_that_do_not_fit_the_coarse_layer(self, text, line, fields):
+        with pytest.raises(aio.FormatError, match=f"line {line}: ") as err:
+            aio.parse_config(text)
+        for name in fields:
+            assert name in str(err.value)
+
+    def test_layer_sizes_of_accepted_settings(self):
+        for scale in (1.0, 0.25, 1 / 32):
+            aio.RunConfig(backbone_scale=scale)
+        # The tiny training config: J = 4 and k = 2 at scale 1/32.
+        aio.RunConfig(backbone_scale=1 / 32, gmm_components=4, bgmm_topk=2)
+        with pytest.raises(ValueError, match="bgmm_topk"):
+            aio.RunConfig(bgmm_topk=9)
+
     @pytest.mark.parametrize("text", [
         "voxel_size = nan\n", "voxel_size = inf\n", "learning_rate = 1e999\n",
         "jitter = nan\n",

@@ -87,7 +87,8 @@ class TestBatchNorm:
         rng = np.random.default_rng(5)
         bn = nnet.BatchNorm(2)
         for _ in range(200):
-            bn.forward(rng.normal(loc=1.0, size=(32, 2)), train=True)
+            _, cache = bn.forward(rng.normal(loc=1.0, size=(32, 2)), train=True)
+            bn.update_running_stats(cache)
         y, _ = bn.forward(np.array([[1.0, 1.0]]), train=False)
         assert np.abs(y).max() < 0.2
 
@@ -294,18 +295,19 @@ class TestStacks:
 
     def test_eval_mode_gradcheck_rejects_a_train_mode_rebuild(self):
         # A wrong eval-mode backward that rebuilds the batch-norm cache in
-        # train mode also moves the running statistics, so every probe sees
-        # a different loss, every coordinate looks kinked and is skipped.
+        # train mode. The train-mode forward leaves the running statistics
+        # alone, so every probe sees the same loss and the checker scores
+        # the wrong gradient.
         rng = np.random.default_rng(17)
         stack = self.eval_stack(rng)
         x = rng.normal(size=(10, 5))
         target = rng.normal(size=(10, 3))
 
         def train_mode_rebuild(block, cache, grad_out):
-            x_in, _, pre = cache
+            x_in, _, out = cache
             z, lin_cache = block.lin.forward(x_in)
             _, bn_cache = block.bn.forward(z, train=True)
-            g = block.bn.backward(bn_cache, nnet.relu_backward(grad_out, pre))
+            g = block.bn.backward(bn_cache, nnet.relu_backward(grad_out, out))
             return block.lin.backward(lin_cache, g)
 
         for block in stack.blocks:
@@ -319,8 +321,38 @@ class TestStacks:
             stack.backward(cache, grad)
             return loss
 
-        with pytest.raises(ValueError, match="skipped all"):
-            nnet.finite_diff_check(fb, dict(stack.named_params("s")), h=1e-5)
+        assert nnet.finite_diff_check(fb, dict(stack.named_params("s")), h=1e-5) > 1e-3
+
+    def test_cbr_backward_from_relu_output_matches_pre_activation_mask(self):
+        # The cache keeps relu(pre), not pre. With gamma = beta = 0,
+        # channel 0's pre-activation is exactly zero; the mask built from
+        # the output must treat those zeros as the one built from pre does.
+        rng = np.random.default_rng(18)
+        block = nnet.CBR(3, 4, rng)
+        block.bn.gamma.value[:] = [0.0, 1.5, 0.7, -1.1]
+        block.bn.beta.value[:] = [0.0, 0.2, -0.3, 0.1]
+        x = rng.normal(size=(12, 3))
+        grad_out = rng.normal(size=(12, 4))
+        params = dict(block.named_params("b"))
+
+        for p in params.values():
+            p.zero_grad()
+        out, cache = block.forward(x, train=True)
+        got = block.backward(cache, grad_out)
+        got_grads = {k: p.grad.copy() for k, p in params.items()}
+
+        for p in params.values():
+            p.zero_grad()
+        z, lin_cache = block.lin.forward(x)
+        pre, bn_cache = block.bn.forward(z, train=True)
+        assert (pre[:, 0] == 0.0).all() and (pre[:, 1:] > 0).any()
+        g = block.bn.backward(bn_cache, grad_out * (pre > 0))
+        want = block.lin.backward(lin_cache, g)
+
+        assert out.tobytes() == nnet.relu(pre).tobytes()
+        assert got.tobytes() == want.tobytes()
+        for k, p in params.items():
+            assert got_grads[k].tobytes() == p.grad.tobytes(), k
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(14)

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -208,6 +209,96 @@ class TestTrainingStep:
         assert training.learning_rate_at(cfg, 9) == 1e-3
         assert training.learning_rate_at(cfg, 10) == 5e-4
         assert training.learning_rate_at(cfg, 20) == 2.5e-4
+
+
+class TestConcurrentStep:
+    """Each training step runs the two clouds' backbone forwards, and then
+    their backwards, on two threads."""
+
+    @staticmethod
+    def digest(named_arrays):
+        h = hashlib.sha256()
+        for name, arr in named_arrays:
+            h.update(name.encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
+
+    def test_three_steps_match_the_sequential_step_bit_for_bit(self):
+        # The digests were computed at commit 09b8a3c, whose step ran both
+        # forwards and then both backwards one after the other: batch norm
+        # updated its running statistics during each forward, and each
+        # backward added into Param.grad directly. Two pairs per step make
+        # the second pair's gradients add onto nonzero ones, where the
+        # order of the source and target additions shows.
+        cfg = RunConfig(backbone_scale=0.25)
+        model = training.RegistrationModel(cfg)
+        optimizer = model.make_optimizer()
+        data_rng = np.random.default_rng(21)
+        step_rng = np.random.default_rng([21, 3])
+        losses = []
+        for _ in range(3):
+            optimizer.zero_grad()
+            for i in range(2):
+                pair = training.gen_synthetic_pair(
+                    data_rng, cfg.train_points, cfg.max_rot_deg, cfg.max_trans,
+                    cfg.jitter, cfg.outlier_clusters)
+                pair = training._preprocess_pair(pair, cfg, i)
+                ctx, so, to = training.make_step_context(model, pair, step_rng)
+                total, _ = training.training_loss(model, pair, ctx, grad_scale=0.5,
+                                                  outputs=(so, to))
+                losses.append(total)
+            optimizer.step()
+        assert losses == [6.188949358616934, 1.7166763034798485, 2.463124547385996,
+                          2.105925608797264, 2.3278783281134405, 6.156136856884285]
+        grads = [(name, p.grad) for name, p in model.named_params().items()]
+        assert self.digest(grads) == \
+            "64292fafd5fec129273804c9a064ea97be776ea6935b39b6bd200d3b2f92c0c4"
+        assert self.digest(model._buffer_modules()) == \
+            "c464ed8a1d07613d66eed8e5b6b3e8a6ae0948893b45e47ec04b9e916a34fc32"
+
+    @staticmethod
+    def step_inputs():
+        cfg = tiny_config()
+        model = training.RegistrationModel(cfg)
+        rng = np.random.default_rng(8)
+        pair = training.gen_synthetic_pair(rng, cfg.train_points, cfg.max_rot_deg,
+                                           cfg.max_trans, cfg.jitter, 0)
+        return model, training._preprocess_pair(pair, cfg, 0), rng
+
+    def test_target_forward_raises_and_leaves_no_thread(self):
+        model, pair, rng = self.step_inputs()
+        n_out = model.backbone.configs[0].n_out
+        short = training.SyntheticPair(pair.source, pair.target[:n_out - 1],
+                                       pair.transform, pair.source_outlier_mask,
+                                       pair.target_outlier_mask)
+        buffers = self.digest(model._buffer_modules())
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match=f"backbone needs at least {n_out} points"):
+            training.make_step_context(model, short, rng)
+        assert set(threading.enumerate()) == before
+        # The source's batch statistics are folded in only after both
+        # forwards succeed.
+        assert self.digest(model._buffer_modules()) == buffers
+
+    def test_target_backward_raises_and_leaves_no_thread(self, monkeypatch):
+        model, pair, rng = self.step_inputs()
+        ctx, so, to = training.make_step_context(model, pair, rng)
+        model.zero_grads()
+        backward = model.backbone.backward
+
+        def failing_on_target(out, **grads):
+            if out is to:
+                raise RuntimeError("target backward failed")
+            return backward(out, **grads)
+
+        monkeypatch.setattr(model.backbone, "backward", failing_on_target)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="target backward failed"):
+            training.training_loss(model, pair, ctx, outputs=(so, to))
+        assert set(threading.enumerate()) == before
+        # Neither side's backbone gradients reached Param.grad.
+        for name, p in model.backbone.named_params():
+            assert not p.grad.any(), name
 
 
 class TestTrainLoop:
