@@ -225,9 +225,16 @@ def softmax_rows_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
 def fuse_candidates(weights: np.ndarray, cand_pts: np.ndarray,
                     cand_desc: np.ndarray):
     """Per row, the ``weights``-weighted sum (N, K) of its candidates'
-    coordinates (N, K, 3) and descriptors (N, K, C)."""
-    fused_pts = (weights[..., None] * cand_pts).sum(axis=1)
-    fused_desc = (weights[..., None] * cand_desc).sum(axis=1)
+    coordinates (N, K, 3) and descriptors (N, K, C).
+
+    One unoptimised einsum per output, with no (N, K, C) temporary. It adds
+    the K products left to right, as ``(w[..., None] * cand).sum(axis=1)``
+    does, so the two agree bit for bit for C >= 2; at C = 1 einsum drops
+    the width axis and sums the K products in another order, and no caller
+    fuses fewer than 3 columns. ``optimize`` stays off: the optimised
+    contraction goes through BLAS and rounds differently."""
+    fused_pts = np.einsum("nk,nkc->nc", weights, cand_pts)
+    fused_desc = np.einsum("nk,nkc->nc", weights, cand_desc)
     return fused_pts, fused_desc
 
 
@@ -272,7 +279,11 @@ class CBR:
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
         w = self.lin.w.value * scale[:, None]
         b = (self.lin.b.value - bn.running_mean) * scale + bn.beta.value
-        out = relu(_check_finite(x @ w.T + b, "batchnorm output"))
+        # relu(x @ w.T + b), computed in place in the product's buffer.
+        out = x @ w.T
+        out += b
+        _check_finite(out, "batchnorm output")
+        np.maximum(out, 0.0, out=out)
         return out, (x, None, out)
 
     def update_running_stats(self, cache):

@@ -12,6 +12,7 @@ parameters; ground-truth correspondences are supervision constants.
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .coarse import (ConfidenceHead, DegeneracyError, coarse_head_backward,
                      coarse_head_forward, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
                        random_rigid_transform, transform_errors, voxel_downsample)
-from .io import Checkpoint, RunConfig
+from .io import Checkpoint, CheckpointError, RunConfig
 from .nnet import Adam, Param
 
 OUTLIER_MIN_RADIUS = 20.0
@@ -228,26 +229,43 @@ class RegistrationModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "RegistrationModel":
+        """Rebuild a model; a checkpoint whose stored config is invalid, or
+        that lacks a parameter or holds a tensor of the wrong size, raises
+        ``CheckpointError`` naming the tensor."""
         kwargs = {}
         for f in dataclasses.fields(RunConfig):
             key = f"config.{f.name}"
             if key in ckpt.tensors:
                 raw = float(ckpt.tensors[key][0])
                 kwargs[f.name] = int(raw) if f.type in (int, "int") else raw
-        model = cls(RunConfig(**kwargs))
+        try:
+            config = RunConfig(**kwargs)
+        except ValueError as exc:
+            # RunConfig's message names the fields whose values break a rule.
+            named = [f"'config.{name}'" for name in kwargs
+                     if re.search(rf"\b{name}\b", str(exc))]
+            raise CheckpointError(f"checkpoint tensors {', '.join(named) or 'config.*'} "
+                                  f"hold an invalid config: {exc}") from exc
+        model = cls(config)
+
+        def stored(key: str, shape: tuple) -> np.ndarray:
+            flat = ckpt.tensors[key]
+            want = int(np.prod(shape))
+            if flat.size != want:
+                raise CheckpointError(
+                    f"tensor '{key}' holds {flat.size} values, expected {want}")
+            return flat.reshape(shape)
+
         for name, p in model.named_params().items():
             key = f"param.{name}"
             if key not in ckpt.tensors:
-                raise KeyError(f"checkpoint lacks tensor '{key}'")
-            flat = ckpt.tensors[key]
-            if flat.size != p.value.size:
-                raise ValueError(f"size mismatch for '{key}'")
-            p.value = flat.reshape(p.value.shape).copy()
+                raise CheckpointError(f"checkpoint lacks tensor '{key}'")
+            p.value = stored(key, p.value.shape).copy()
             p.grad = np.zeros_like(p.value)
         for name, buf in model._buffer_modules():
             key = f"buffer.{name}"
             if key in ckpt.tensors:
-                buf[...] = ckpt.tensors[key].reshape(buf.shape)
+                buf[...] = stored(key, buf.shape)
         betas = ckpt.tensors.get("schedule.betas")
         if betas is not None:
             model.schedule = diffusion.NoiseSchedule.from_betas(betas)

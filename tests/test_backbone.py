@@ -131,7 +131,7 @@ class TestBlockedForward:
         cfg = bb.LayerConfig(300, 64, (32, 32, 64))
         layer = bb.DetectorDescriptorLayer(32, cfg, np.random.default_rng(18))
         rows = bb._FORWARD_BLOCK_ENTRIES // (cfg.k_group * 64)
-        assert cfg.n_out > 2 * rows and cfg.n_out % rows  # 3 blocks, the last partial
+        assert cfg.n_out > 2 * rows and cfg.n_out % rows  # 3+ blocks, the last partial
         cloud = make_cloud(rng, 900)
         feats = rng.normal(size=(900, 32))
         unc = rng.uniform(size=900)

@@ -128,7 +128,59 @@ class TestApplyTransform:
             geo.apply_transform(RigidTransform.identity(), [[np.nan, 0.0, 0.0]])
 
 
+def voxel_downsample_by_unique(cloud, voxel):
+    """The grid as first written: np.unique over the integer key rows."""
+    pts = geo.as_points(cloud)
+    keys = np.floor(pts / voxel).astype(np.int64)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((len(uniq), 3))
+    np.add.at(sums, inverse, pts)
+    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+    return sums / counts[:, None]
+
+
+def assert_same_grid(cloud, voxel):
+    got = geo.voxel_downsample(cloud, voxel)
+    want = voxel_downsample_by_unique(cloud, voxel)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestVoxelDownsample:
+    def test_negative_coordinates_match_unique(self):
+        rng = np.random.default_rng(30)
+        assert_same_grid(rng.uniform(-20.0, 5.0, size=(500, 3)), 0.7)
+
+    def test_duplicate_points_match_unique(self):
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(40, 3)) * 3
+        cloud = base[rng.integers(0, len(base), size=300)]
+        assert_same_grid(cloud, 0.25)
+        assert_same_grid(cloud, 1e-9)
+
+    def test_single_point_matches_unique(self):
+        assert_same_grid([[-1.5, 2.25, -0.125]], 0.3)
+
+    def test_keys_too_wide_to_pack_into_one_integer(self):
+        # At 1e-3 voxels, +-1e6 m spans 2e9 cells per axis: three such keys
+        # need about 93 bits, more than one int64 holds.
+        rng = np.random.default_rng(32)
+        cloud = rng.uniform(-1e6, 1e6, size=(400, 3))
+        cloud = np.concatenate([cloud, cloud[:50] + 1e-4,
+                                [[-1e6, -1e6, -1e6], [1e6, 1e6, 1e6]]])
+        assert_same_grid(cloud, 1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-12, 12)] * 3), min_size=1, max_size=60),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_unique_on_a_half_grid(self, cells, seed):
+        # Coordinates on a 0.5 m lattice at voxel 0.5 put points exactly on
+        # cell faces, where floor decides the cell.
+        cloud = np.asarray(cells, dtype=np.float64) * 0.5
+        jitter = np.random.default_rng(seed).uniform(0.0, 0.4, size=cloud.shape)
+        assert_same_grid(cloud, 0.5)
+        assert_same_grid(cloud + jitter, 0.5)
+
     def test_single_cell(self):
         # Cloud sits inside one voxel cell, so one centroid comes back.
         rng = np.random.default_rng(5)

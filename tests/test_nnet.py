@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreg import nnet
 
@@ -200,6 +202,24 @@ class TestAdam:
         np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
 
 
+class TestFuseCandidates:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 70), st.integers(2, 140),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_broadcast_sum_bit_for_bit(self, n, k, c, zero_share, seed):
+        # Widths from 2 up: at width 1 numpy's einsum drops the axis and
+        # reorders the K-term sum, and no caller fuses fewer than 3 columns.
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, k))
+        w[rng.random((n, k)) < zero_share] = 0.0
+        pts = rng.normal(size=(n, k, 3)) * 50.0
+        desc = rng.normal(size=(n, k, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, k, c))
+        desc[rng.random((n, k, c)) < zero_share] = 0.0
+        got_pts, got_desc = nnet.fuse_candidates(w, pts, desc)
+        assert got_pts.tobytes() == (w[..., None] * pts).sum(axis=1).tobytes()
+        assert got_desc.tobytes() == (w[..., None] * desc).sum(axis=1).tobytes()
+
+
 class TestStacks:
     def test_cbr_stack_gradcheck(self):
         rng = np.random.default_rng(11)
@@ -276,6 +296,30 @@ class TestStacks:
         got, _ = stack.forward(x, train=False)
         # Folding reassociates the affine maps: rounding differences only.
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_eval_cbr_is_relu_of_the_folded_affine_map_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        block = self.eval_stack(rng).blocks[0]
+        x = rng.normal(size=(33, 5))
+        bn = block.bn
+        scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
+        w = block.lin.w.value * scale[:, None]
+        b = (block.lin.b.value - bn.running_mean) * scale + bn.beta.value
+        out, _ = block.forward(x, train=False)
+        assert (out == 0.0).any() and (out > 0.0).any()
+        assert out.tobytes() == nnet.relu(x @ w.T + b).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_eval_cbr_rejects_non_finite_input(self, bad):
+        rng = np.random.default_rng(20)
+        block = self.eval_stack(rng).blocks[0]
+        x = rng.normal(size=(6, 5))
+        x[4, 2] = bad
+        # An infinite input meets weights of both signs: the check's sum of
+        # +inf and -inf is NaN, which numpy reports as an invalid value.
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="batchnorm output"):
+            block.forward(x, train=False)
 
     def test_eval_mode_gradcheck(self):
         rng = np.random.default_rng(17)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 import threading
 
@@ -7,7 +8,7 @@ import pytest
 
 from adreg import bgmm, geometry, nnet, training
 from adreg.geometry import RigidTransform, random_rigid_transform
-from adreg.io import RunConfig
+from adreg.io import CheckpointError, RunConfig
 from adreg.training import LossWeights
 
 
@@ -335,7 +336,55 @@ class TestTrainLoop:
                 assert arr.tobytes() == result.checkpoint.tensors[name].tobytes(), name
 
 
+class TestCheckpointErrors:
+    """A checkpoint that cannot rebuild a model raises CheckpointError
+    naming the tensor at fault."""
+
+    @staticmethod
+    def checkpoint():
+        return training.RegistrationModel(tiny_config()).to_checkpoint()
+
+    def test_invalid_stored_config(self):
+        ckpt = self.checkpoint()
+        ckpt.tensors["config.bgmm_topk"] = np.array([9.0])
+        with pytest.raises(CheckpointError, match=r"'config\.bgmm_topk'.*bgmm_topk \(9\)"):
+            training.RegistrationModel.from_checkpoint(ckpt)
+
+    def test_missing_tensor(self):
+        ckpt = self.checkpoint()
+        key = next(k for k in ckpt.tensors if k.startswith("param."))
+        del ckpt.tensors[key]
+        with pytest.raises(CheckpointError, match=f"lacks tensor '{re.escape(key)}'"):
+            training.RegistrationModel.from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("kind", ["param.", "buffer."])
+    def test_size_mismatch(self, kind):
+        ckpt = self.checkpoint()
+        key = next(k for k in ckpt.tensors if k.startswith(kind))
+        ckpt.tensors[key] = ckpt.tensors[key][:-1]
+        with pytest.raises(CheckpointError, match=f"tensor '{re.escape(key)}' holds"):
+            training.RegistrationModel.from_checkpoint(ckpt)
+
+
 class TestRegisterPair:
+    def test_two_scale_quarter_pairs_give_the_pinned_transforms(self):
+        # The hash was computed at commit 16540cb, before the eval-mode front
+        # half moved to L2-sized blocks, einsum member fusion and a lexsort
+        # voxel grid. Any change to the registration's arithmetic shows here.
+        cfg = RunConfig(backbone_scale=0.25)
+        model = training.RegistrationModel(cfg)
+        rng = np.random.default_rng(71)
+        h = hashlib.sha256()
+        for seed in range(2):
+            pair = training.gen_synthetic_pair(rng, cfg.train_points, cfg.max_rot_deg,
+                                               cfg.max_trans, cfg.jitter,
+                                               cfg.outlier_clusters)
+            result = training.register_pair(model, pair.source, pair.target, seed=seed)
+            h.update(result.transform.rotation.tobytes())
+            h.update(result.transform.translation.tobytes())
+        assert h.hexdigest() == \
+            "9702dc871c232450ad153749e6e5a1035483735d3197d038b40423b588832564"
+
     def test_runs_end_to_end_untrained(self):
         cfg = tiny_config()
         model = training.RegistrationModel(cfg)
