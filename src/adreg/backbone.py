@@ -104,8 +104,7 @@ class DetectorDescriptorLayer:
         group_dim = 3 + in_feat_dim + 1
         self.detector = nnet.CBRStack(group_dim, cfg.widths, 1, rng)
         self.descriptor = nnet.CBRStack(group_dim, cfg.widths, None, rng)
-        self.uncertainty = nnet.MLP(cfg.widths[-1], UNCERTAINTY_HIDDEN, 1, rng,
-                                    sigmoid_out=True)
+        self.uncertainty = nnet.MLP(cfg.widths[-1], UNCERTAINTY_HIDDEN, rng)
 
     @property
     def out_dim(self) -> int:
@@ -128,14 +127,15 @@ class DetectorDescriptorLayer:
         """Fuse each group into an output point, descriptor and uncertainty.
 
         Returns (p_out, d_out, u_out, cache). Only train mode returns a
-        cache, for ``backward`` and ``update_running_stats``; it leaves the
-        running statistics alone. Eval mode walks the output points in blocks
-        whose widest activation holds about ``_FORWARD_BLOCK_ENTRIES``
-        entries, sized so that a block's arrays stay in a core's L2 cache
-        through the CBR stacks and the member fusion; each output row
-        depends on its own group alone, so the blocks give the same bits as
-        one whole-batch pass. Train mode takes every row in one block,
-        because batch statistics and the backward pass need them all.
+        cache, for ``backward``; its batch norms fold their batch statistics
+        as they run (``nnet.BatchNorm``). Eval mode walks the output points
+        in blocks whose widest activation holds about
+        ``_FORWARD_BLOCK_ENTRIES`` entries, sized so that a block's arrays
+        stay in a core's L2 cache through the CBR stacks and the member
+        fusion; each output row depends on its own group alone, so the
+        blocks give the same bits as one whole-batch pass. Train mode takes
+        every row in one block, because batch statistics and the backward
+        pass need them all.
         """
         if feats.shape[1] != self.in_feat_dim:
             raise ValueError(f"expected feature width {self.in_feat_dim}, got {feats.shape[1]}")
@@ -159,18 +159,13 @@ class DetectorDescriptorLayer:
             desc_rows, desc_cache = self.descriptor.forward(x, train)
             desc_feat = desc_rows.reshape(n, k, self.out_dim)
             p_out[block], d_out[block] = fuse_candidates(w, member_pts, desc_feat)
-        u_rows, unc_cache = self.uncertainty.forward(d_out)
-        u_out = u_rows.reshape(n_out)
+        u_out, unc_cache = self.uncertainty.forward(d_out)
         if not train:
             return p_out, d_out, u_out, None
         cache = {"plan": plan, "n_in": len(pts), "w": w, "member_pts": member_pts,
                  "desc_feat": desc_feat, "det": det_cache, "desc": desc_cache,
                  "unc": unc_cache}
         return p_out, d_out, u_out, cache
-
-    def update_running_stats(self, cache):
-        self.detector.update_running_stats(cache["det"])
-        self.descriptor.update_running_stats(cache["desc"])
 
     def backward(self, cache, g_pts_out, g_desc_out, g_unc_out, *, raw_input=False):
         """Accumulate parameter gradients; return the gradients of the layer
@@ -180,8 +175,7 @@ class DetectorDescriptorLayer:
         plan, w = cache["plan"], cache["w"]
         n_out, k = plan.groups.shape
 
-        g_desc_out = g_desc_out + self.uncertainty.backward(
-            cache["unc"], g_unc_out.reshape(n_out, 1))
+        g_desc_out = g_desc_out + self.uncertainty.backward(cache["unc"], g_unc_out)
         g_w, g_member_pts, g_desc_feat = fuse_candidates_backward(
             w, cache["member_pts"], cache["desc_feat"], g_pts_out, g_desc_out)
 
@@ -217,7 +211,7 @@ class BackboneOutput:
     fine: FeatureSet
     coarse: FeatureSet
     plans: tuple[LayerPlan, ...]
-    # Train mode only, for Backbone.backward and update_running_stats.
+    # Train mode only, for Backbone.backward.
     cache: dict | None
 
 
@@ -258,12 +252,6 @@ class Backbone:
         cache = {"layers": caches, "lift": lift_cache} if train else None
         return BackboneOutput(fine=outputs[1], coarse=outputs[2],
                               plans=tuple(used_plans), cache=cache)
-
-    def update_running_stats(self, output: BackboneOutput):
-        """Fold a train-mode forward's batch statistics into the running
-        statistics of every batch norm."""
-        for layer, cache in zip(self.layers, output.cache["layers"]):
-            layer.update_running_stats(cache)
 
     def backward(self, output: BackboneOutput, g_coarse, g_fine):
         """Accumulate parameter gradients given output-side gradients.

@@ -44,24 +44,10 @@ def make_predictor(descriptor_dim: int, rng: np.random.Generator) -> nnet.CBRSta
     return nnet.CBRStack(10 + 2 * descriptor_dim + 3, PREDICTOR_WIDTHS, 1, rng)
 
 
-class ConfidenceHead:
-    """Two-layer MLP with a sigmoid scalar output per point."""
-
-    def __init__(self, descriptor_dim: int, rng: np.random.Generator):
-        self.mlp = nnet.MLP(descriptor_dim, CONFIDENCE_HIDDEN, 1, rng, sigmoid_out=True)
-
-    def forward(self, fused_desc: np.ndarray):
-        out, cache = self.mlp.forward(fused_desc)
-        return out.reshape(-1), cache
-
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        return self.mlp.backward(cache, grad_out.reshape(-1, 1))
-
-    def named_params(self, prefix: str):
-        yield from self.mlp.named_params(prefix)
-
-    def named_buffers(self, prefix: str):
-        return iter(())
+def make_confidence_head(descriptor_dim: int, rng: np.random.Generator) -> nnet.MLP:
+    """Per-point confidence of a fused descriptor: a sigmoid scalar MLP
+    (hidden width 64)."""
+    return nnet.MLP(descriptor_dim, CONFIDENCE_HIDDEN, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +146,12 @@ def descriptor_features_backward(cache, g_f_d: np.ndarray):
 
 def predict_candidate_weights(predictor: nnet.CBRStack, f_g: np.ndarray,
                               f_d: np.ndarray, train: bool):
-    """Softmax over each row's candidates of the predictor's scores. A
-    train-mode call folds its batch statistics in at once: the head runs on
-    one thread."""
+    """Softmax over each row's candidates of the predictor's scores. The
+    predictor's train-mode batch norms fold their batch statistics as they
+    run (``nnet.BatchNorm``)."""
     n, k = f_g.shape[:2]
     rows = np.concatenate([f_g.reshape(n * k, -1), f_d.reshape(n * k, -1)], axis=1)
     logits, stack_cache = predictor.forward(rows, train)
-    if train:
-        predictor.update_running_stats(stack_cache)
     weights = nnet.softmax_rows(logits.reshape(n, k))
     cache = {"weights": weights, "geo_dim": f_g.shape[-1], "stack": stack_cache}
     return weights, cache
@@ -279,7 +263,7 @@ def weighted_svd_backward(cache, g_rot: np.ndarray, g_trans: np.ndarray):
 
 def decode_forward(weights: np.ndarray, src_pts: np.ndarray, tgt_pts: np.ndarray,
                    tgt_desc: np.ndarray, cand_idx: np.ndarray,
-                   confidence: ConfidenceHead):
+                   confidence: nnet.MLP):
     """Fuse each row's candidates by ``weights``, score the fused descriptors'
     confidence, and solve the confidence-weighted SVD from ``src_pts`` to the
     fused points. Returns (transform, per-point confidences, cache)."""
@@ -294,7 +278,7 @@ def decode_forward(weights: np.ndarray, src_pts: np.ndarray, tgt_pts: np.ndarray
     return transform, conf, cache
 
 
-def decode_backward(cache, confidence: ConfidenceHead, g_rot: np.ndarray,
+def decode_backward(cache, confidence: nnet.MLP, g_rot: np.ndarray,
                     g_trans: np.ndarray):
     """Returns (g_weights, g_src_pts, g_cand_pts, g_cand_desc). The caller
     scatters the per-candidate gradients onto its targets: the coarse head
@@ -322,7 +306,7 @@ class CoarseDiagnostics:
 
 
 def coarse_head_forward(src: FeatureSet, tgt: FeatureSet, cand_idx: np.ndarray,
-                        predictor: nnet.CBRStack, confidence: ConfidenceHead,
+                        predictor: nnet.CBRStack, confidence: nnet.MLP,
                         train: bool):
     """Features -> predicted weights -> decode chain.
 
@@ -340,7 +324,7 @@ def coarse_head_forward(src: FeatureSet, tgt: FeatureSet, cand_idx: np.ndarray,
 
 
 def coarse_head_backward(cache, predictor: nnet.CBRStack,
-                         confidence: ConfidenceHead, g_rot, g_trans):
+                         confidence: nnet.MLP, g_rot, g_trans):
     """Backward through the coarse head; returns gradients w.r.t. the
     purified source/target feature-set arrays."""
     g_weights, g_src_svd, g_cand_pts, g_cand_desc = decode_backward(
@@ -390,7 +374,7 @@ def purified_candidates(src_coarse: FeatureSet, tgt_coarse: FeatureSet, *,
 
 
 def coarse_register(src_out: BackboneOutput, tgt_out: BackboneOutput,
-                    predictor: nnet.CBRStack, confidence: ConfidenceHead,
+                    predictor: nnet.CBRStack, confidence: nnet.MLP,
                     *, gmm_components: int = 8, bgmm_topk: int = 2,
                     candidates: int = 3, seed: int = 0):
     """The coarse stage after the two eval-mode backbone forwards: the

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import nnet
 from .backbone import FeatureSet
-from .coarse import (ConfidenceHead, DegeneracyError, decode_backward,
-                     decode_forward, descriptor_features, geometric_features)
+from .coarse import (DegeneracyError, decode_backward, decode_forward,
+                     descriptor_features, geometric_features)
 from .geometry import (RigidTransform, apply_transform, compose, knn_search,
                        transform_errors)
 from .nnet import scatter_candidates
@@ -53,11 +53,6 @@ class NoiseSchedule:
     betas: np.ndarray       # (T,), betas[i] is beta_{i+1}
     alpha_bars: np.ndarray  # (T + 1,)
 
-    @classmethod
-    def from_betas(cls, betas) -> "NoiseSchedule":
-        betas = np.array(betas, dtype=np.float64)
-        return cls(betas, np.concatenate([[1.0], np.cumprod(1.0 - betas)]))
-
     @property
     def n_steps(self) -> int:
         return len(self.betas)
@@ -69,7 +64,8 @@ def make_schedule(n_steps: int = 1000, beta_start: float = 1e-4,
         raise ValueError("schedule needs at least one step")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ValueError("betas must satisfy 0 < beta_start <= beta_end < 1")
-    return NoiseSchedule.from_betas(np.linspace(beta_start, beta_end, n_steps))
+    betas = np.linspace(beta_start, beta_end, n_steps)
+    return NoiseSchedule(betas, np.concatenate([[1.0], np.cumprod(1.0 - betas)]))
 
 
 def q_sample(schedule: NoiseSchedule, c0: np.ndarray, t: int,
@@ -89,21 +85,14 @@ def ddim_timesteps(n_steps: int, s: int) -> np.ndarray:
 
 
 def ddim_step(schedule: NoiseSchedule, c_t: np.ndarray, c0_hat: np.ndarray,
-              t: int, t_prev: int, sigma: float = 0.0,
-              z: np.ndarray | None = None) -> np.ndarray:
-    """One DDIM update from step t to t_prev (deterministic at sigma=0)."""
+              t: int, t_prev: int) -> np.ndarray:
+    """One deterministic DDIM update from step t to t_prev."""
     if not (schedule.n_steps >= t > t_prev >= 0):
         raise ValueError(f"require T >= t > t_prev >= 0, got t={t}, t_prev={t_prev}")
     ab_t = schedule.alpha_bars[t]
     ab_prev = schedule.alpha_bars[t_prev]
     eps = (c_t - np.sqrt(ab_t) * c0_hat) / np.sqrt(1.0 - ab_t)
-    coef = np.sqrt(max(1.0 - ab_prev - sigma ** 2, 0.0))
-    out = np.sqrt(ab_prev) * c0_hat + coef * eps
-    if sigma > 0.0:
-        if z is None:
-            raise ValueError("sigma > 0 requires a noise sample z")
-        out = out + sigma * z
-    return out
+    return np.sqrt(ab_prev) * c0_hat + np.sqrt(1.0 - ab_prev) * eps
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +167,9 @@ def make_denoiser(descriptor_dim: int, rng: np.random.Generator) -> nnet.CBRStac
 
 def denoiser_forward(denoiser: nnet.CBRStack, c_t: np.ndarray, t: int, n_steps: int,
                      f_g: np.ndarray, f_d: np.ndarray, train: bool):
-    """Predict the clean correspondence matrix from its noised version. A
-    train-mode call folds its batch statistics in at once: the denoiser runs
-    on one thread."""
+    """Predict the clean correspondence matrix from its noised version. The
+    denoiser's train-mode batch norms fold their batch statistics as they
+    run (``nnet.BatchNorm``)."""
     n, k = c_t.shape
     if f_g.shape[:2] != (n, k) or f_d.shape[:2] != (n, k):
         raise ValueError("conditioning features do not match the correspondence shape")
@@ -193,8 +182,6 @@ def denoiser_forward(denoiser: nnet.CBRStack, c_t: np.ndarray, t: int, n_steps: 
          f_g.reshape(n * k, -1),
          f_d.reshape(n * k, -1)], axis=1)
     out, stack_cache = denoiser.forward(rows, train)
-    if train:
-        denoiser.update_running_stats(stack_cache)
     c0_hat = out.reshape(n, k)
     cache = {"shape": (n, k), "gd": f_g.shape[-1], "dd": f_d.shape[-1],
              "stack": stack_cache}
@@ -217,7 +204,7 @@ def denoiser_backward(denoiser: nnet.CBRStack, cache, g_c0_hat: np.ndarray):
 
 def correspondence_to_transform(c0_hat: np.ndarray, warped_src: np.ndarray,
                                 cand_idx: np.ndarray, tgt_pts: np.ndarray,
-                                tgt_desc: np.ndarray, confidence: ConfidenceHead,
+                                tgt_desc: np.ndarray, confidence: nnet.MLP,
                                 temperature: float = DECODE_TEMPERATURE):
     """Softmax-decode the correspondence into candidate weights and run the
     shared decode chain against the current warped source."""
@@ -229,7 +216,7 @@ def correspondence_to_transform(c0_hat: np.ndarray, warped_src: np.ndarray,
     return transform, cache
 
 
-def correspondence_to_transform_backward(cache, confidence: ConfidenceHead,
+def correspondence_to_transform_backward(cache, confidence: nnet.MLP,
                                          g_rot: np.ndarray, g_trans: np.ndarray):
     """Returns (g_c0_hat, g_warped_src, g_tgt_pts, g_tgt_desc)."""
     g_weights, g_warped, g_cand_pts, g_cand_desc = decode_backward(
@@ -275,7 +262,7 @@ class TraceRow:
 
 def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
                          fine_tgt: FeatureSet, denoiser: nnet.CBRStack | None,
-                         confidence: ConfidenceHead, schedule: NoiseSchedule,
+                         confidence: nnet.MLP, schedule: NoiseSchedule,
                          k: int, steps: int, seed: int = 0,
                          temperature: float = DECODE_TEMPERATURE,
                          denoise_fn=None, gt: RigidTransform | None = None):
@@ -325,5 +312,5 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
         rte, rre = (transform_errors(buffer.final, gt) if gt is not None
                     else (float("nan"), float("nan")))
         trace.append(TraceRow(int(t), rte, rre, float(np.abs(c0_hat).mean())))
-        c_t = ddim_step(schedule, c_t, c0_hat, int(t), int(t_prev), sigma=0.0)
+        c_t = ddim_step(schedule, c_t, c0_hat, int(t), int(t_prev))
     return buffer.final, buffer, trace

@@ -335,8 +335,10 @@ def save_config(cfg: RunConfig, path) -> None:
 
 @dataclass
 class Checkpoint:
-    """Named float64 tensors (stored flat); includes parameters, optimizer
-    moments, noise-schedule constants, and a numeric config snapshot."""
+    """Named float64 tensors (stored flat): parameters, batch-norm buffers,
+    optimizer moments, and a numeric config snapshot. The noise schedule is
+    a function of the config and is not stored; a ``schedule.betas`` tensor
+    left by an older writer is ignored."""
 
     version: int = CHECKPOINT_VERSION
     tensors: dict[str, np.ndarray] = field(default_factory=dict)

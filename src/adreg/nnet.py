@@ -2,13 +2,14 @@
 activations, and Adam, all in float64 with hand-written analytic backwards.
 
 Layers are stateless between calls: ``forward`` returns ``(output, cache)``
-and ``backward(cache, grad_out)`` consumes that cache, adding parameter
-gradients through ``Param.accumulate`` (callers zero them). A train-mode
-batch norm returns its batch statistics in the cache instead of updating its
-running ones, and inside ``gradient_buffers`` a thread's parameter gradients
-go to buffers of its own. So forwards and backwards over several inputs may
-interleave, or run on separate threads, and their statistics and gradients
-are then applied in an order the caller fixes.
+and ``backward(cache, grad_out)`` consumes that cache. Only train mode keeps
+a cache; an eval-mode forward is inference-only. Two writes touch shared
+model state: ``Param.accumulate`` adds a parameter gradient (callers zero
+them) and a train-mode batch norm folds its batch statistics into its
+running ones. Inside ``deferred_writes`` both go to a record of the calling
+thread instead, which ``DeferredWrites.apply`` makes later. So forwards and
+backwards over several inputs may run on separate threads, and their writes
+are then made in an order the caller fixes.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ BN_EPS = 1e-5
 KINK_RTOL = 1e-4
 KINK_SHRINKS = 3
 
-# The gradient buffers of the calling thread while it is inside
-# ``gradient_buffers``; unset elsewhere.
-_SINK = threading.local()
+# The DeferredWrites record of each thread inside ``deferred_writes``.
+_LOCAL = threading.local()
+
+
+def _record() -> "DeferredWrites | None":
+    return getattr(_LOCAL, "record", None)
 
 
 class Param:
@@ -44,35 +48,46 @@ class Param:
         self.grad[...] = 0.0
 
     def accumulate(self, g: np.ndarray):
-        """Add ``g`` to the gradient, or to the calling thread's buffer for
-        this parameter inside ``gradient_buffers``."""
-        buffers = getattr(_SINK, "buffers", None)
-        if buffers is None:
+        """Add ``g`` to the gradient, or to the calling thread's record."""
+        record = _record()
+        if record is None:
             self.grad += g
-        elif self in buffers:
-            buffers[self] += g
+        elif self in record.grads:
+            record.grads[self] += g
         else:
-            buffers[self] = np.array(g, dtype=np.float64)
+            record.grads[self] = np.array(g, dtype=np.float64)
+
+
+class DeferredWrites:
+    """One thread's held-back writes to shared model state: gradients summed
+    per parameter, and batch statistics in the order their forwards ran."""
+
+    def __init__(self):
+        self.grads: dict[Param, np.ndarray] = {}
+        self.stats: list[tuple[BatchNorm, np.ndarray, np.ndarray]] = []
+
+    def apply(self):
+        """Make the held writes, through the calling thread's own record if
+        it is inside one."""
+        for p, g in self.grads.items():
+            p.accumulate(g)
+        for bn, mean, var in self.stats:
+            bn.fold_stats(mean, var)
 
 
 @contextmanager
-def gradient_buffers():
-    """Collect the calling thread's parameter gradients in a fresh dict
-    (Param -> array) instead of ``Param.grad``; ``add_gradients`` adds them
-    in later. Threads backpropagating through shared layers then never write
-    one array, and adding their dicts in a fixed order keeps the sums
-    reproducible."""
-    buffers: dict[Param, np.ndarray] = {}
-    _SINK.buffers = buffers
+def deferred_writes():
+    """Hold the calling thread's gradient and batch-statistic writes in a
+    fresh ``DeferredWrites`` record, which the block yields. Threads running
+    shared layers then never write one array, and applying their records in
+    a fixed order keeps the results reproducible. Records nest: the inner
+    one's ``apply`` writes into the outer one."""
+    previous = _record()
+    _LOCAL.record = DeferredWrites()
     try:
-        yield buffers
+        yield _LOCAL.record
     finally:
-        _SINK.buffers = None
-
-
-def add_gradients(buffers: dict[Param, np.ndarray]):
-    for p, g in buffers.items():
-        p.grad += g
+        _LOCAL.record = previous
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -123,9 +138,9 @@ class Linear:
 class BatchNorm:
     """Per-channel batch normalization with running statistics for eval mode.
 
-    A train-mode forward leaves the running statistics alone: its cache
-    carries the batch mean and variance, which ``update_running_stats``
-    folds in."""
+    A train-mode forward folds its batch mean and variance into the running
+    statistics through ``fold_stats``, so inside ``deferred_writes`` the fold
+    waits for the record's ``apply``. An eval-mode forward returns no cache."""
 
     def __init__(self, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
         self.gamma = Param(np.ones(dim))
@@ -138,36 +153,36 @@ class BatchNorm:
     def forward(self, x: np.ndarray, train: bool):
         if x.ndim != 2 or x.shape[1] != self.gamma.value.size:
             raise ValueError(f"batchnorm expects (N, {self.gamma.value.size}), got {x.shape}")
-        if train:
-            if len(x) < 2:
-                raise ValueError("training-mode batch norm needs a batch of at least 2")
-            mean = x.mean(axis=0)
-            centered = x - mean
-            var = np.einsum("ij,ij->j", centered, centered) / len(x)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = centered * inv_std
-            stats = (mean, var)
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv_std
-            stats = None
+        if not train:
+            xhat = (x - self.running_mean) * (1.0 / np.sqrt(self.running_var + self.eps))
+            return _check_finite(self.gamma.value * xhat + self.beta.value,
+                                 "batchnorm output"), None
+        if len(x) < 2:
+            raise ValueError("training-mode batch norm needs a batch of at least 2")
+        mean = x.mean(axis=0)
+        centered = x - mean
+        var = np.einsum("ij,ij->j", centered, centered) / len(x)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = centered * inv_std
         out = _check_finite(self.gamma.value * xhat + self.beta.value, "batchnorm output")
-        return out, (xhat, inv_std, len(x), stats)
+        self.fold_stats(mean, var)
+        return out, (xhat, inv_std, len(x))
 
-    def update_running_stats(self, cache):
-        """Fold a train-mode forward's batch mean and variance into the
-        running statistics."""
-        mean, var = cache[3]
+    def fold_stats(self, mean: np.ndarray, var: np.ndarray):
+        """Fold a batch's mean and variance into the running statistics, or
+        hold them in the calling thread's record."""
+        record = _record()
+        if record is not None:
+            record.stats.append((self, mean, var))
+            return
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
         self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        xhat, inv_std, n, stats = cache
+        xhat, inv_std, n = cache
         self.gamma.accumulate(np.einsum("ij,ij->j", grad_out, xhat))
         self.beta.accumulate(grad_out.sum(axis=0))
         g = grad_out * self.gamma.value
-        if stats is None:
-            return g * inv_std
         sum_g = g.sum(axis=0)
         sum_gx = np.einsum("ij,ij->j", g, xhat)
         return inv_std / n * (n * g - sum_g - xhat * sum_gx)
@@ -284,17 +299,10 @@ class CBR:
         out += b
         _check_finite(out, "batchnorm output")
         np.maximum(out, 0.0, out=out)
-        return out, (x, None, out)
-
-    def update_running_stats(self, cache):
-        self.bn.update_running_stats(cache[1])
+        return out, None
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         lin_cache, bn_cache, out = cache
-        if bn_cache is None:
-            # A folded eval-mode forward: rebuild the unfolded caches.
-            z, lin_cache = self.lin.forward(lin_cache)
-            _, bn_cache = self.bn.forward(z, False)
         g = self.bn.backward(bn_cache, relu_backward(grad_out, out))
         return self.lin.backward(lin_cache, g)
 
@@ -325,11 +333,7 @@ class CBRStack:
         if self.head is not None:
             x, c = self.head.forward(x)
             caches.append(c)
-        return x, caches
-
-    def update_running_stats(self, caches):
-        for block, cache in zip(self.blocks, caches):
-            block.update_running_stats(cache)
+        return x, caches if train else None
 
     def backward(self, caches, grad_out: np.ndarray) -> np.ndarray:
         g = grad_out
@@ -354,33 +358,32 @@ class CBRStack:
 
 
 class MLP:
-    """Two-layer perceptron with ReLU, optional sigmoid output head."""
+    """Two-layer perceptron with a ReLU hidden layer and one sigmoid scalar
+    per row: ``forward`` maps (N, in_dim) to (N,)."""
 
-    def __init__(self, in_dim: int, hidden: int, out_dim: int,
-                 rng: np.random.Generator, sigmoid_out: bool = False):
+    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         self.lin0 = Linear(in_dim, hidden, rng)
-        self.lin1 = Linear(hidden, out_dim, rng)
-        self.sigmoid_out = sigmoid_out
+        self.lin1 = Linear(hidden, 1, rng)
 
     def forward(self, x: np.ndarray):
         pre, c0 = self.lin0.forward(x)
-        y, c1 = self.lin1.forward(relu(pre))
-        if self.sigmoid_out:
-            y = sigmoid(y)
+        logits, c1 = self.lin1.forward(relu(pre))
+        y = sigmoid(logits.reshape(-1))
         return y, (c0, c1, y)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         # lin1's cache is its input, the hidden ReLU output.
         c0, c1, y = cache
-        g = grad_out
-        if self.sigmoid_out:
-            g = sigmoid_backward(g, y)
+        g = sigmoid_backward(grad_out, y).reshape(-1, 1)
         g = relu_backward(self.lin1.backward(c1, g), c1)
         return self.lin0.backward(c0, g)
 
     def named_params(self, prefix: str):
         yield from self.lin0.named_params(f"{prefix}.lin0")
         yield from self.lin1.named_params(f"{prefix}.lin1")
+
+    def named_buffers(self, prefix: str):
+        return iter(())
 
 
 class Adam:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import coarse, diffusion, nnet
 from .backbone import Backbone
-from .coarse import (ConfidenceHead, DegeneracyError, coarse_head_backward,
-                     coarse_head_forward, purified_candidates, purify)
+from .coarse import (DegeneracyError, coarse_head_backward, coarse_head_forward,
+                     make_confidence_head, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
                        random_rigid_transform, transform_errors, voxel_downsample)
 from .io import Checkpoint, CheckpointError, RunConfig
@@ -35,13 +35,6 @@ OUTLIER_MAX_RADIUS = 35.0
 # the target frame): far enough that an isolated cluster can never be the
 # bidirectional top-k partner of the other side's cluster.
 OUTLIER_SIDE_SEPARATION = 40.0
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    rot: float = 4.0    # alpha
-    trans: float = 1.0  # beta
-    diff: float = 1.0   # gamma
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +59,10 @@ def rotation_loss(r_est: np.ndarray, r_gt: np.ndarray):
 
 def loss_total(est_coarse: RigidTransform, est_fine: RigidTransform,
                gt: RigidTransform, c0_hat: np.ndarray, c_gt: np.ndarray,
-               weights: LossWeights):
-    """Weighted two-stage transform loss plus the diffusion MSE.
+               config: RunConfig):
+    """Two-stage transform loss plus the diffusion MSE, weighted by the
+    config's ``rot_weight`` (alpha), ``trans_weight`` (beta) and
+    ``diff_weight`` (gamma).
 
     Returns (total, per-term dict, gradient dict); gradients already carry
     the stage weights.
@@ -80,16 +75,16 @@ def loss_total(est_coarse: RigidTransform, est_fine: RigidTransform,
     lrf, grf = rotation_loss(est_fine.rotation, gt.rotation)
     resid = c0_hat - c_gt
     ldiff = float((resid ** 2).mean())
-    total = (weights.trans * (ltc + ltf) + weights.rot * (lrc + lrf)
-             + weights.diff * ldiff)
+    w_rot, w_trans, w_diff = config.rot_weight, config.trans_weight, config.diff_weight
+    total = w_trans * (ltc + ltf) + w_rot * (lrc + lrf) + w_diff * ldiff
     terms = {"trans_coarse": ltc, "trans_fine": ltf, "rot_coarse": lrc,
              "rot_fine": lrf, "diff": ldiff,
              "trans": ltc + ltf, "rot": lrc + lrf}
-    grads = {"coarse_trans": weights.trans * gtc,
-             "coarse_rot": weights.rot * grc,
-             "fine_trans": weights.trans * gtf,
-             "fine_rot": weights.rot * grf,
-             "c0_hat": weights.diff * 2.0 * resid / resid.size}
+    grads = {"coarse_trans": w_trans * gtc,
+             "coarse_rot": w_rot * grc,
+             "fine_trans": w_trans * gtf,
+             "fine_rot": w_rot * grf,
+             "c0_hat": w_diff * 2.0 * resid / resid.size}
     return total, terms, grads
 
 
@@ -190,9 +185,9 @@ class RegistrationModel:
         coarse_dim = self.backbone.configs[2].widths[-1]
         fine_dim = self.backbone.configs[1].widths[-1]
         self.predictor = coarse.make_predictor(coarse_dim, streams[1])
-        self.coarse_confidence = ConfidenceHead(coarse_dim, streams[2])
+        self.coarse_confidence = make_confidence_head(coarse_dim, streams[2])
         self.denoiser = diffusion.make_denoiser(fine_dim, streams[3])
-        self.fine_confidence = ConfidenceHead(fine_dim, streams[4])
+        self.fine_confidence = make_confidence_head(fine_dim, streams[4])
         self.schedule = diffusion.make_schedule(
             config.diffusion_steps, config.beta_start, config.beta_end)
 
@@ -220,7 +215,6 @@ class RegistrationModel:
             tensors[f"param.{name}"] = p.value.reshape(-1).copy()
         for name, buf in self._buffer_modules():
             tensors[f"buffer.{name}"] = buf.reshape(-1).copy()
-        tensors["schedule.betas"] = self.schedule.betas.copy()
         for fname, value in vars(self.config).items():
             tensors[f"config.{fname}"] = np.array([float(value)])
         if optimizer is not None:
@@ -231,13 +225,25 @@ class RegistrationModel:
     def from_checkpoint(cls, ckpt: Checkpoint) -> "RegistrationModel":
         """Rebuild a model; a checkpoint whose stored config is invalid, or
         that lacks a parameter or holds a tensor of the wrong size, raises
-        ``CheckpointError`` naming the tensor."""
+        ``CheckpointError`` naming the tensor. Each ``config.*`` tensor must
+        hold one finite value, integral for an integer field. The noise
+        schedule is rebuilt from the config."""
         kwargs = {}
         for f in dataclasses.fields(RunConfig):
             key = f"config.{f.name}"
-            if key in ckpt.tensors:
-                raw = float(ckpt.tensors[key][0])
-                kwargs[f.name] = int(raw) if f.type in (int, "int") else raw
+            if key not in ckpt.tensors:
+                continue
+            raw = np.asarray(ckpt.tensors[key], dtype=np.float64).reshape(-1)
+            if raw.size != 1 or not np.isfinite(raw[0]):
+                raise CheckpointError(f"tensor '{key}' holds {raw[:4].tolist()} (size "
+                                      f"{raw.size}); expected one finite value")
+            value = float(raw[0])
+            if f.type in (int, "int"):
+                if not value.is_integer():
+                    raise CheckpointError(f"tensor '{key}' holds {value!r}; "
+                                          "expected an integer")
+                value = int(value)
+            kwargs[f.name] = value
         try:
             config = RunConfig(**kwargs)
         except ValueError as exc:
@@ -266,9 +272,6 @@ class RegistrationModel:
             key = f"buffer.{name}"
             if key in ckpt.tensors:
                 buf[...] = stored(key, buf.shape)
-        betas = ckpt.tensors.get("schedule.betas")
-        if betas is not None:
-            model.schedule = diffusion.NoiseSchedule.from_betas(betas)
         return model
 
     def make_optimizer(self) -> Adam:
@@ -309,36 +312,37 @@ def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     """``(fn(*src_args), fn(*tgt_args))``, the target's call running on a
     worker thread while the source's runs on the calling thread.
 
-    The two calls must share no state that either writes. An exception on
+    Each call runs inside an ``nnet.deferred_writes`` record of its own, so
+    neither writes a gradient or running statistic while the other runs.
+    After both end, the source's record is applied, then the target's: the
+    sums come out as two sequential calls would make them. An exception on
     either side re-raises here after both calls have ended, so no thread
-    outlives the call. BLAS stays single-threaded; this is the package's
-    one source of parallelism.
+    outlives the call, and neither record is applied. The calls must share
+    no other state that either writes. BLAS stays single-threaded; this is
+    the package's one source of parallelism.
     """
+    def recorded(args):
+        with nnet.deferred_writes() as record:
+            return fn(*args), record
+
     with ThreadPoolExecutor(max_workers=1) as worker:
-        tgt_future = worker.submit(fn, *tgt_args)
-        src_result = fn(*src_args)
-        return src_result, tgt_future.result()
+        tgt_future = worker.submit(recorded, tgt_args)
+        src_result, src_record = recorded(src_args)
+        tgt_result, tgt_record = tgt_future.result()
+    src_record.apply()
+    tgt_record.apply()
+    return src_result, tgt_result
 
 
 def _backbone_forwards(model: RegistrationModel, pair: SyntheticPair, train: bool,
                        plans: tuple = (None, None)):
     """Both clouds' backbone forwards, run at once by ``on_both_sides``.
-
-    ``plans`` holds each side's sampling plans, or None to compute them. A
-    train-mode forward leaves the running statistics alone; each side's
-    batch statistics are folded in after both forwards end, source first,
-    then target, as two sequential forwards would.
-    """
+    ``plans`` holds each side's sampling plans, or None to compute them."""
     def forward(cloud, cloud_plans):
         return model.backbone.forward(cloud, seed=model.config.seed, train=train,
                                       plans=cloud_plans)
 
-    src_out, tgt_out = on_both_sides(forward, (pair.source, plans[0]),
-                                     (pair.target, plans[1]))
-    if train:
-        model.backbone.update_running_stats(src_out)
-        model.backbone.update_running_stats(tgt_out)
-    return src_out, tgt_out
+    return on_both_sides(forward, (pair.source, plans[0]), (pair.target, plans[1]))
 
 
 def make_step_context(model: RegistrationModel, pair: SyntheticPair,
@@ -378,17 +382,14 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     context was built, saving their recomputation; otherwise both forwards
     run at once through ``_backbone_forwards``. Only the train-mode forward
     keeps the caches a backward pass needs, so ``train=False`` evaluates the
-    loss alone. The two backbone backwards also run at once, each into
-    gradient buffers of its own (``nnet.gradient_buffers``); the buffers are
-    then added into ``Param.grad``, source first, then target, which sums
-    exactly as two sequential backwards would.
+    loss alone. The two backbone backwards also run at once, through
+    ``on_both_sides``, which adds their gradients into ``Param.grad`` source
+    first, then target, as two sequential backwards would.
     """
     if compute_grads and not train:
         raise ValueError("gradients need the train-mode forward; "
                          "eval mode keeps no caches")
     cfg = model.config
-    weights = LossWeights(rot=cfg.rot_weight, trans=cfg.trans_weight,
-                          diff=cfg.diff_weight)
     if outputs is not None:
         src_out, tgt_out = outputs
     else:
@@ -414,7 +415,7 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     est_fine = compose(step_tf, ctx.gt)
 
     total, terms, grads = loss_total(est_coarse, est_fine, ctx.gt, c0_hat,
-                                     ctx.c_gt, weights)
+                                     ctx.c_gt, cfg)
     if not compute_grads:
         return total, terms
 
@@ -450,17 +451,12 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
         fd_cache, g_f_d)
 
     def backbone_backward(out, g_coarse, g_fine):
-        with nnet.gradient_buffers() as grads:
-            model.backbone.backward(out, g_coarse=g_coarse, g_fine=g_fine)
-        return grads
+        model.backbone.backward(out, g_coarse=g_coarse, g_fine=g_fine)
 
-    src_grads, tgt_grads = on_both_sides(
-        backbone_backward,
-        (src_out, g_coarse_src, (g_src_fp, g_src_fd, g_src_fu)),
-        (tgt_out, g_coarse_tgt,
-         (g_tgt_fp + g_tgt_fp2, g_tgt_fd + g_tgt_fd2, g_tgt_fu)))
-    nnet.add_gradients(src_grads)
-    nnet.add_gradients(tgt_grads)
+    on_both_sides(backbone_backward,
+                  (src_out, g_coarse_src, (g_src_fp, g_src_fd, g_src_fu)),
+                  (tgt_out, g_coarse_tgt,
+                   (g_tgt_fp + g_tgt_fp2, g_tgt_fd + g_tgt_fd2, g_tgt_fu)))
     return total, terms
 
 
@@ -478,9 +474,7 @@ class RegistrationResult:
 
 
 def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
-                  seed: int = 0, steps: int | None = None, candidates: int | None = None,
-                  gt: RigidTransform | None = None,
-                  preprocess: bool = True) -> RegistrationResult:
+                  seed: int = 0, gt: RigidTransform | None = None) -> RegistrationResult:
     """Run the full coarse + autoregressive fine pipeline on a cloud pair.
 
     Each cloud's front half (``preprocess_cloud``, then the eval-mode
@@ -489,11 +483,9 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
     forwards write no shared state.
     """
     cfg = model.config
-    k = candidates if candidates is not None else cfg.candidates
 
     def front_half(cloud, cloud_seed):
-        if preprocess:
-            cloud = preprocess_cloud(cloud, cfg, cloud_seed)
+        cloud = preprocess_cloud(cloud, cfg, cloud_seed)
         return model.backbone.forward(cloud, seed=seed, train=False)
 
     src_out, tgt_out = on_both_sides(front_half, (src_cloud, seed),
@@ -501,12 +493,12 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
     coarse_tf, diag, _ = coarse.coarse_register(
         src_out, tgt_out, model.predictor, model.coarse_confidence,
         gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,
-        candidates=k, seed=seed)
+        candidates=cfg.candidates, seed=seed)
     final, buffer, trace = diffusion.autoregressive_infer(
         coarse_tf, src_out.fine, tgt_out.fine, model.denoiser,
-        model.fine_confidence, model.schedule, k=k,
-        steps=steps if steps is not None else cfg.sampling_steps,
-        seed=seed, temperature=cfg.decode_temperature, gt=gt)
+        model.fine_confidence, model.schedule, k=cfg.candidates,
+        steps=cfg.sampling_steps, seed=seed, temperature=cfg.decode_temperature,
+        gt=gt)
     return RegistrationResult(final, coarse_tf, diag, buffer, trace)
 
 

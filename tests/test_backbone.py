@@ -147,6 +147,13 @@ class TestBlockedForward:
         cloud = make_cloud(rng, 256)
         assert net.forward(cloud, seed=0, train=False).cache is None
         assert net.forward(cloud, seed=0, train=True).cache is not None
+        # So do the BatchNorm, CBR and CBRStack modules below it.
+        stack = net.layers[0].detector
+        x = rng.normal(size=(10, stack.blocks[0].lin.w.value.shape[1]))
+        for module, arg in ((stack.blocks[0].bn, stack.blocks[0].lin.forward(x)[0]),
+                            (stack.blocks[0], x), (stack, x)):
+            assert module.forward(arg, train=False)[1] is None
+            assert module.forward(arg, train=True)[1] is not None
 
 
 class TestBackboneGradients:

@@ -242,7 +242,7 @@ class TestWeightsAndFusion:
 class TestConfidence:
     def test_range_and_determinism(self):
         rng = np.random.default_rng(17)
-        head = coarse.ConfidenceHead(descriptor_dim=8, rng=rng)
+        head = coarse.make_confidence_head(descriptor_dim=8, rng=rng)
         x = rng.normal(size=(10, 8))
         a, _ = head.forward(x)
         b, _ = head.forward(x)
@@ -260,7 +260,7 @@ class TestCoarseHead:
         tgt = random_feature_set(rng, 18, c, spread=3.0)
         cand_idx = geometry.knn_search(src.descriptors, tgt.descriptors, 3).indices
         pred = coarse.make_predictor(c, np.random.default_rng(19))
-        conf = coarse.ConfidenceHead(c, np.random.default_rng(20))
+        conf = coarse.make_confidence_head(c, np.random.default_rng(20))
         params = dict(pred.named_params("pred"))
         params.update(conf.named_params("conf"))
         inputs = {
@@ -299,7 +299,7 @@ class TestCoarseRegister:
         rng = np.random.default_rng(seed)
         backbone = Backbone(rng, scale=scale)
         pred = coarse.make_predictor(256, rng)
-        conf = coarse.ConfidenceHead(256, rng)
+        conf = coarse.make_confidence_head(256, rng)
         return backbone, pred, conf
 
     def make_cloud(self, rng, n=256):

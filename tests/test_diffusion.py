@@ -184,7 +184,7 @@ class TestCorrespondenceToTransform:
     def test_one_hot_identity(self):
         rng = np.random.default_rng(12)
         src, tgt, neighbors, c0 = self.setup_pair(rng)
-        conf = coarse.ConfidenceHead(4, np.random.default_rng(13))
+        conf = coarse.make_confidence_head(4, np.random.default_rng(13))
         tgt_desc = rng.normal(size=(20, 4))
         step, _ = diff.correspondence_to_transform(c0, src, neighbors.indices, tgt,
                                                    tgt_desc, conf)
@@ -201,7 +201,7 @@ class TestCorrespondenceToTransform:
         true_col = (neighbors.indices == np.arange(25)[:, None]).argmax(axis=1)
         assert (neighbors.indices[np.arange(25), true_col] == np.arange(25)).all()
         c0[np.arange(25), true_col] = 1.0
-        conf = coarse.ConfidenceHead(4, np.random.default_rng(15))
+        conf = coarse.make_confidence_head(4, np.random.default_rng(15))
         step, _ = diff.correspondence_to_transform(c0, src, neighbors.indices, tgt,
                                                    rng.normal(size=(25, 4)), conf)
         assert np.abs(step.rotation - gt.rotation).max() < 1e-9
@@ -210,7 +210,7 @@ class TestCorrespondenceToTransform:
     def test_uniform_rows_still_valid(self):
         rng = np.random.default_rng(16)
         src, tgt, neighbors, _ = self.setup_pair(rng)
-        conf = coarse.ConfidenceHead(4, np.random.default_rng(17))
+        conf = coarse.make_confidence_head(4, np.random.default_rng(17))
         step, cache = diff.correspondence_to_transform(
             np.zeros((20, 3)), src, neighbors.indices, tgt, rng.normal(size=(20, 4)), conf)
         np.testing.assert_allclose(step.rotation.T @ step.rotation, np.eye(3),
@@ -223,7 +223,7 @@ class TestCorrespondenceToTransform:
         tgt = rng.normal(size=(12, 3)) * 3
         tgt_desc = rng.normal(size=(12, 4))
         neighbors = geometry.knn_search(src, tgt, 3)
-        conf = coarse.ConfidenceHead(4, np.random.default_rng(19))
+        conf = coarse.make_confidence_head(4, np.random.default_rng(19))
         c0 = nnet.Param(rng.uniform(-0.5, 0.5, size=(8, 3)))
         src_p = nnet.Param(src.copy())
         g_rot = rng.normal(size=(3, 3))
@@ -305,7 +305,7 @@ class TestAutoregressiveInference:
     def test_oracle_denoiser_recovers_gt(self):
         fine_src, fine_tgt, gt, rng = self.make_scene(23)
         schedule = diff.make_schedule()
-        conf = coarse.ConfidenceHead(6, np.random.default_rng(24))
+        conf = coarse.make_confidence_head(6, np.random.default_rng(24))
         c_gt, _ = diff.build_gt_correspondence(fine_src.points, fine_tgt.points,
                                                gt, k=3)
         final, buffer, _ = diff.autoregressive_infer(
@@ -322,7 +322,7 @@ class TestAutoregressiveInference:
         fine_src, fine_tgt, gt, _ = self.make_scene(25)
         schedule = diff.make_schedule()
         den = diff.make_denoiser(6, np.random.default_rng(26))
-        conf = coarse.ConfidenceHead(6, np.random.default_rng(27))
+        conf = coarse.make_confidence_head(6, np.random.default_rng(27))
         final, buffer, _ = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=1, seed=0)
         np.testing.assert_allclose(final.rotation.T @ final.rotation, np.eye(3),
@@ -333,7 +333,7 @@ class TestAutoregressiveInference:
         fine_src, fine_tgt, gt, _ = self.make_scene(28)
         schedule = diff.make_schedule()
         den = diff.make_denoiser(6, np.random.default_rng(29))
-        conf = coarse.ConfidenceHead(6, np.random.default_rng(30))
+        conf = coarse.make_confidence_head(6, np.random.default_rng(30))
         _, buffer, _ = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=4, seed=1)
         running = buffer.initial
@@ -345,7 +345,7 @@ class TestAutoregressiveInference:
     def test_trace_rows(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(31)
         schedule = diff.make_schedule()
-        conf = coarse.ConfidenceHead(6, np.random.default_rng(32))
+        conf = coarse.make_confidence_head(6, np.random.default_rng(32))
         c_gt, _ = diff.build_gt_correspondence(fine_src.points, fine_tgt.points,
                                                gt, k=3)
         _, _, trace = diff.autoregressive_infer(
@@ -357,7 +357,7 @@ class TestAutoregressiveInference:
     def test_nan_aborts_with_diagnostics(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(33)
         schedule = diff.make_schedule()
-        conf = coarse.ConfidenceHead(6, np.random.default_rng(34))
+        conf = coarse.make_confidence_head(6, np.random.default_rng(34))
 
         def bad(c_t, t, f_g, f_d):
             out = np.zeros_like(c_t)

@@ -9,7 +9,6 @@ import pytest
 from adreg import bgmm, geometry, nnet, training
 from adreg.geometry import RigidTransform, random_rigid_transform
 from adreg.io import CheckpointError, RunConfig
-from adreg.training import LossWeights
 
 
 def tiny_config(**overrides):
@@ -26,7 +25,7 @@ class TestLossTotal:
         rng = np.random.default_rng(0)
         gt = random_rigid_transform(rng, 30.0, 2.0)
         c = rng.uniform(-1, 1, size=(10, 3))
-        total, terms, _ = training.loss_total(gt, gt, gt, c, c, LossWeights())
+        total, terms, _ = training.loss_total(gt, gt, gt, c, c, RunConfig())
         assert total < 1e-12
         assert all(v < 1e-12 for v in terms.values())
 
@@ -35,7 +34,8 @@ class TestLossTotal:
         ident = RigidTransform.identity()
         c = np.zeros((4, 3))
         total, terms, _ = training.loss_total(ident, ident, gt, c, c,
-                                              LossWeights(rot=4.0, trans=1.0, diff=1.0))
+                                              RunConfig(rot_weight=4.0, trans_weight=1.0,
+                                                        diff_weight=1.0))
         assert terms["trans_coarse"] == pytest.approx(2.0)
         assert terms["trans_fine"] == pytest.approx(2.0)
         assert total == pytest.approx(4.0)
@@ -48,7 +48,7 @@ class TestLossTotal:
             gt = random_rigid_transform(rng, 90.0, 3.0)
             c0 = rng.normal(size=(5, 2))
             cgt = rng.normal(size=(5, 2))
-            total, _, _ = training.loss_total(a, b, gt, c0, cgt, LossWeights())
+            total, _, _ = training.loss_total(a, b, gt, c0, cgt, RunConfig())
             assert total >= 0.0
 
     def test_transform_loss_gradients(self):
@@ -74,7 +74,7 @@ class TestLossTotal:
         gt = RigidTransform.identity()
         with pytest.raises(ValueError):
             training.loss_total(gt, gt, gt, np.zeros((3, 2)), np.zeros((3, 3)),
-                                LossWeights())
+                                RunConfig())
 
 
 class TestSyntheticPairs:
@@ -356,6 +356,31 @@ class TestCheckpointErrors:
         del ckpt.tensors[key]
         with pytest.raises(CheckpointError, match=f"lacks tensor '{re.escape(key)}'"):
             training.RegistrationModel.from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key, value", [
+        ("config.seed", []),
+        ("config.seed", [np.nan]),
+        ("config.candidates", [np.inf]),
+        ("config.candidates", [2.7]),
+        ("config.candidates", [3.0, 4.0]),
+    ], ids=["empty", "nan", "inf", "fraction", "two-values"])
+    def test_config_tensor_needs_one_finite_value(self, key, value):
+        ckpt = self.checkpoint()
+        ckpt.tensors[key] = np.array(value, dtype=np.float64)
+        with pytest.raises(CheckpointError, match=f"tensor '{re.escape(key)}'"):
+            training.RegistrationModel.from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("betas", [np.full(10, 0.01), np.zeros(0),
+                                       np.array([np.nan]), np.array([1.5])],
+                             ids=["ten-steps", "empty", "nan", "above-one"])
+    def test_noise_schedule_comes_from_the_config(self, betas):
+        model = training.RegistrationModel(tiny_config())
+        ckpt = model.to_checkpoint()
+        assert not any(k.startswith("schedule.") for k in ckpt.tensors)
+        ckpt.tensors["schedule.betas"] = betas
+        loaded = training.RegistrationModel.from_checkpoint(ckpt).schedule
+        assert loaded.betas.tobytes() == model.schedule.betas.tobytes()
+        assert loaded.alpha_bars.tobytes() == model.schedule.alpha_bars.tobytes()
 
     @pytest.mark.parametrize("kind", ["param.", "buffer."])
     def test_size_mismatch(self, kind):
