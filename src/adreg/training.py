@@ -226,8 +226,9 @@ class RegistrationModel:
         """Rebuild a model; a checkpoint whose stored config is invalid, or
         that lacks a parameter or holds a tensor of the wrong size, raises
         ``CheckpointError`` naming the tensor. Each ``config.*`` tensor must
-        hold one finite value, integral for an integer field. The noise
-        schedule is rebuilt from the config."""
+        hold one finite value, integral for an integer field; ``param.*``
+        and ``buffer.*`` tensors must be finite, and a ``running_var`` must
+        not be negative. The noise schedule is rebuilt from the config."""
         kwargs = {}
         for f in dataclasses.fields(RunConfig):
             key = f"config.{f.name}"
@@ -260,6 +261,8 @@ class RegistrationModel:
             if flat.size != want:
                 raise CheckpointError(
                     f"tensor '{key}' holds {flat.size} values, expected {want}")
+            if not np.isfinite(flat).all():
+                raise CheckpointError(f"tensor '{key}' holds non-finite values")
             return flat.reshape(shape)
 
         for name, p in model.named_params().items():
@@ -271,7 +274,10 @@ class RegistrationModel:
         for name, buf in model._buffer_modules():
             key = f"buffer.{name}"
             if key in ckpt.tensors:
-                buf[...] = stored(key, buf.shape)
+                value = stored(key, buf.shape)
+                if name.endswith(".running_var") and (value < 0).any():
+                    raise CheckpointError(f"tensor '{key}' holds a negative variance")
+                buf[...] = value
         return model
 
     def make_optimizer(self) -> Adam:

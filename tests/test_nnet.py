@@ -117,6 +117,99 @@ class TestBatchNorm:
         assert nnet.finite_diff_check(fb, params, h=1e-5) < 1e-4
 
 
+def reference_bn_forward(x, gamma, beta, eps):
+    """The train-mode batch norm forward as whole-array expressions: the
+    formulas the blocked passes must reproduce bit for bit."""
+    mean = x.mean(axis=0)
+    centered = x - mean
+    var = np.einsum("ij,ij->j", centered, centered) / len(x)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return gamma * xhat + beta, xhat, inv_std, mean, var
+
+
+def reference_bn_backward(grad_out, xhat, inv_std, gamma):
+    """Returns (input gradient, gamma gradient, beta gradient)."""
+    n = len(xhat)
+    g = grad_out * gamma
+    sum_g = g.sum(axis=0)
+    sum_gx = np.einsum("ij,ij->j", g, xhat)
+    return (inv_std / n * (n * g - sum_g - xhat * sum_gx),
+            np.einsum("ij,ij->j", grad_out, xhat), grad_out.sum(axis=0))
+
+
+@st.composite
+def train_batches(draw):
+    """(x, gamma, beta, grad_out): from 2 rows up to several row blocks,
+    ending on a whole or a partial block, with some constant channels."""
+    width = draw(st.integers(1, 300))
+    rows = nnet._block_rows(width)
+    n = max(2, draw(st.integers(0, 3)) * rows + draw(st.integers(0, rows - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(loc=rng.normal(size=width), scale=rng.uniform(0.1, 10.0, size=width),
+                   size=(n, width))
+    constant = rng.random(width) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x[:, constant] = rng.normal(size=constant.sum())
+    return (x, rng.normal(size=width), rng.normal(size=width),
+            rng.normal(size=(n, width)))
+
+
+class TestTrainBatchNormBits:
+    """The row-blocked train-mode batch norm against whole-array formulas."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(batch=train_batches())
+    def test_matches_the_whole_array_formulas_bit_for_bit(self, batch):
+        x, gamma, beta, grad_out = batch
+        bn = nnet.BatchNorm(x.shape[1])
+        bn.gamma.value, bn.beta.value = gamma.copy(), beta.copy()
+        x_bytes = x.tobytes()
+        out, cache = bn.forward(x, train=True)
+        assert x.tobytes() == x_bytes
+        ref_out, ref_xhat, ref_inv_std, mean, var = reference_bn_forward(x, gamma, beta, bn.eps)
+        xhat, inv_std, n = cache
+        assert out.tobytes() == ref_out.tobytes()
+        assert xhat.tobytes() == ref_xhat.tobytes()
+        assert inv_std.tobytes() == ref_inv_std.tobytes()
+        assert n == len(x)
+        m = bn.momentum
+        assert bn.running_mean.tobytes() == (m * np.zeros_like(mean) + (1 - m) * mean).tobytes()
+        assert bn.running_var.tobytes() == (m * np.ones_like(var) + (1 - m) * var).tobytes()
+
+        grad_bytes = grad_out.tobytes()
+        g_in = bn.backward(cache, grad_out)
+        assert grad_out.tobytes() == grad_bytes
+        ref_g_in, ref_g_gamma, ref_g_beta = reference_bn_backward(grad_out, ref_xhat,
+                                                                  ref_inv_std, gamma)
+        assert g_in.tobytes() == ref_g_in.tobytes()
+        # Param.accumulate adds into zeroed gradients.
+        assert bn.gamma.grad.tobytes() == (np.zeros_like(gamma) + ref_g_gamma).tobytes()
+        assert bn.beta.grad.tobytes() == (np.zeros_like(beta) + ref_g_beta).tobytes()
+
+    @pytest.mark.parametrize("signs", [(1.0,), (-1.0,), (1.0, -1.0)],
+                             ids=["inf", "-inf", "inf-and-minus-inf"])
+    def test_non_finite_output_in_the_last_partial_block_raises(self, signs):
+        # The first row of each of two full blocks holds -1, the last row,
+        # which ends a partial block, holds 2, and every other row 0; so the
+        # mean is exactly 0 and the last row's xhat is twice as large as the
+        # first rows'. The gamma puts the first rows' output at 0.75 of the
+        # float maximum, so only the last row overflows.
+        width = len(signs)
+        rows = nnet._block_rows(width)
+        x = np.zeros((2 * rows + rows // 2, width))
+        x[[0, rows]] = -np.array(signs)
+        x[-1] = 2.0 * np.array(signs)
+        bn = nnet.BatchNorm(width)
+        xhat = reference_bn_forward(x, 1.0, 0.0, bn.eps)[1]
+        bn.gamma.value = 0.75 * np.finfo(np.float64).max / np.abs(xhat[0])
+        # inf + -inf in the finite check's sum is an invalid operation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_out = reference_bn_forward(x, bn.gamma.value, bn.beta.value, bn.eps)[0]
+            assert np.isfinite(ref_out[:-1]).all() and np.isinf(ref_out[-1]).all()
+            with pytest.raises(FloatingPointError, match="batchnorm output"):
+                bn.forward(x, train=True)
+
+
 class TestDeferredWrites:
     @staticmethod
     def state(stack):
@@ -247,6 +340,26 @@ class TestAdam:
         opt2.load_state_tensors(state)
         assert opt2.step_count == 3
         np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
+
+    @pytest.mark.parametrize("key, value", [
+        ("optim.step", []),
+        ("optim.step", [np.nan]),
+        ("optim.step", [np.inf]),
+        ("optim.step", [2.7]),
+        ("optim.step", [-1.0]),
+        ("optim.step", [3.0, 4.0]),
+        ("optim.m.p", np.zeros(3)),
+        ("optim.v.p", np.zeros(5)),
+    ], ids=["empty", "nan", "inf", "fraction", "negative", "two-values",
+            "short-m", "long-v"])
+    def test_load_rejects_a_bad_tensor_and_keeps_the_state(self, key, value):
+        opt = nnet.Adam({"p": nnet.Param(np.ones(4))})
+        state = opt.state_tensors()
+        state["optim.step"] = np.array([5.0])
+        state[key] = np.array(value, dtype=np.float64)
+        with pytest.raises(ValueError, match=f"tensor '{key}'"):
+            opt.load_state_tensors(state)
+        assert opt.step_count == 0
 
 
 class TestFuseCandidates:
@@ -406,6 +519,27 @@ class TestStacks:
         a, _ = stack.forward(x, train=False)
         b, _ = stack.forward(x, train=False)
         np.testing.assert_array_equal(a, b)
+
+
+class TestCBRTrainCalls:
+    def test_train_cbr_goes_through_its_linear_and_batch_norm_methods(self):
+        # The per-layer trace wraps BatchNorm.forward, and the sign-flip
+        # gradcheck replaces bn.backward: both see nothing if a train-mode
+        # CBR computes either layer inline.
+        rng = np.random.default_rng(12)
+        cbr = nnet.CBR(4, 6, rng)
+        calls = []
+        for layer_name in ("lin", "bn"):
+            layer = getattr(cbr, layer_name)
+            for method in ("forward", "backward"):
+                def counted(*args, _orig=getattr(layer, method),
+                            _name=f"{layer_name}.{method}", **kwargs):
+                    calls.append(_name)
+                    return _orig(*args, **kwargs)
+                setattr(layer, method, counted)
+        out, cache = cbr.forward(rng.normal(size=(10, 4)), train=True)
+        cbr.backward(cache, rng.normal(size=out.shape))
+        assert calls == ["lin.forward", "bn.forward", "bn.backward", "lin.backward"]
 
 
 class TestFiniteDiffCheck:

@@ -382,6 +382,28 @@ class TestCheckpointErrors:
         assert loaded.betas.tobytes() == model.schedule.betas.tobytes()
         assert loaded.alpha_bars.tobytes() == model.schedule.alpha_bars.tobytes()
 
+    @pytest.mark.parametrize("key, value", [
+        ("param.backbone.lift.w", np.nan),
+        ("param.backbone.layer1.det.block0.bn.gamma", np.inf),
+        ("buffer.backbone.layer1.det.block0.bn.running_mean", -np.inf),
+        ("buffer.backbone.layer1.det.block0.bn.running_var", np.nan),
+        ("buffer.backbone.layer1.det.block0.bn.running_var", -1.0),
+    ], ids=["nan-param", "inf-param", "inf-buffer", "nan-variance", "negative-variance"])
+    def test_param_and_buffer_values_are_checked(self, key, value):
+        ckpt = self.checkpoint()
+        ckpt.tensors[key] = ckpt.tensors[key].copy()
+        ckpt.tensors[key][-1] = value
+        with pytest.raises(CheckpointError, match=f"tensor '{re.escape(key)}'"):
+            training.RegistrationModel.from_checkpoint(ckpt)
+
+    def test_zero_variance_loads(self):
+        # A channel that was constant over every batch has variance 0.
+        ckpt = self.checkpoint()
+        key = "buffer.backbone.layer1.det.block0.bn.running_var"
+        ckpt.tensors[key] = np.zeros_like(ckpt.tensors[key])
+        model = training.RegistrationModel.from_checkpoint(ckpt)
+        assert not model.backbone.layers[0].detector.blocks[0].bn.running_var.any()
+
     @pytest.mark.parametrize("kind", ["param.", "buffer."])
     def test_size_mismatch(self, kind):
         ckpt = self.checkpoint()
