@@ -2,10 +2,11 @@
 rejection.
 
 Mixtures are fitted with EM (k-means++ seeding, eigenvalue-floored
-covariances). A source component is an outlier when it is not among the
-top-k nearest source components of its own nearest target component;
-targets are judged symmetrically. Points hard-assigned to outlier
-components are dropped. The module is training-free.
+covariances); each E-step, M-step and Lloyd update is one stacked array
+pass over the J components. A source component is an outlier when it is
+not among the top-k nearest source components of its own nearest target
+component; targets are judged symmetrically. Points hard-assigned to
+outlier components are dropped. The module is training-free.
 """
 
 from __future__ import annotations
@@ -36,35 +37,32 @@ class GmmModel:
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+    """Symmetrize and raise each eigenvalue to at least ``floor``; ``cov`` is
+    one (3, 3) matrix or a (..., 3, 3) stack, each floored as on its own."""
+    vals, vecs = np.linalg.eigh((cov + np.swapaxes(cov, -1, -2)) / 2.0)
     vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def _log_gaussian(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    chol = np.linalg.cholesky(cov)
-    solved = np.linalg.solve(chol, (pts - mean).T)
-    maha = (solved ** 2).sum(axis=0)
-    log_det = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (3 * LOG_2PI + log_det + maha)
-
-
-def _component_log_densities(pts: np.ndarray, model: GmmModel) -> np.ndarray:
-    out = np.empty((len(pts), model.n_components))
-    for j in range(model.n_components):
-        out[:, j] = _log_gaussian(pts, model.means[j], model.covariances[j])
-    return out
+def _weighted_log_densities(pts: np.ndarray, model: GmmModel) -> np.ndarray:
+    """log(w_j N(x_n | mu_j, Sigma_j)) as a C-ordered (N, J) array: ``logsumexp``
+    sums along its rows, and F order changes that summation once J >= 8."""
+    chol = np.linalg.cholesky(model.covariances)
+    diff = np.swapaxes(pts - model.means[:, None], 1, 2)            # (J, 3, N)
+    maha = (np.linalg.solve(chol, diff) ** 2).sum(axis=1)
+    log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_dens = -0.5 * (3 * LOG_2PI + log_det[:, None] + maha)
+    return np.ascontiguousarray(log_dens.T) + np.log(model.weights)
 
 
 def gmm_log_likelihood(model: GmmModel, cloud) -> float:
-    pts = as_points(cloud)
-    log_dens = _component_log_densities(pts, model) + np.log(model.weights)
+    log_dens = _weighted_log_densities(as_points(cloud), model)
     return float(logsumexp(log_dens, axis=1).sum())
 
 
 def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++: several distance-squared-sampled candidates per
-    step, keeping the one that lowers total inertia the most."""
+    step, keeping the first that lowers total inertia the most."""
     n_candidates = 2 + int(np.log(k + 1))
     centers = np.empty((k, 3))
     centers[0] = pts[rng.integers(len(pts))]
@@ -74,24 +72,26 @@ def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         if total <= 0:
             centers[j] = pts[rng.integers(len(pts))]
             continue
-        cand_idx = rng.choice(len(pts), size=n_candidates, p=d2 / total)
-        best_idx, best_d2, best_cost = None, None, np.inf
-        for ci in cand_idx:
-            trial = np.minimum(d2, ((pts - pts[ci]) ** 2).sum(axis=1))
-            cost = trial.sum()
-            if cost < best_cost:
-                best_idx, best_d2, best_cost = ci, trial, cost
-        centers[j] = pts[best_idx]
-        d2 = best_d2
+        cand = pts[rng.choice(len(pts), size=n_candidates, p=d2 / total)]
+        trials = np.minimum(d2, ((pts - cand[:, None]) ** 2).sum(axis=-1))
+        best = np.argmin(trials.sum(axis=1))
+        centers[j] = cand[best]
+        d2 = trials[best]
     return centers
+
+
+def _nearest_center(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    return ((pts[:, None, :] - centers[None]) ** 2).sum(axis=-1).argmin(axis=1)
 
 
 def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-6,
             seed: int = 0, floor: float = COVARIANCE_FLOOR) -> GmmModel:
     """EM fit from a k-means++/Lloyd initialization; deterministic given seed.
 
-    Log-likelihood per EM iteration is recorded on the returned model, and a
-    component that collapses is re-seeded at the point of lowest density.
+    Log-likelihood per EM iteration is recorded on the returned model. A
+    component whose responsibilities sum below 1e-8 gets a responsibility
+    of 1e-8 from every point before the M-step, so it keeps a tiny weight
+    and moves to the cloud's centroid with the cloud's covariance.
     """
     pts = as_points(cloud)
     n = len(pts)
@@ -101,60 +101,47 @@ def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-6,
 
     centers = _kmeans_pp(pts, n_components, rng)
     for _ in range(KMEANS_ITERS):
-        d2 = ((pts[:, None, :] - centers[None]) ** 2).sum(axis=-1)
-        labels = d2.argmin(axis=1)
-        for j in range(n_components):
-            sel = labels == j
-            if sel.any():
-                centers[j] = pts[sel].mean(axis=0)
+        labels = _nearest_center(pts, centers)
+        sizes = np.bincount(labels, minlength=n_components)
+        sums = np.bincount((3 * labels[:, None] + np.arange(3)).ravel(), pts.ravel(),
+                           3 * n_components).reshape(-1, 3)
+        filled = sizes > 0
+        centers[filled] = sums[filled] / sizes[filled, None]
 
-    weights = np.full(n_components, 1.0 / n_components)
-    means = centers.copy()
     covariances = np.empty((n_components, 3, 3))
-    d2 = ((pts[:, None, :] - centers[None]) ** 2).sum(axis=-1)
-    labels = d2.argmin(axis=1)
+    labels = _nearest_center(pts, centers)
+    sizes = np.bincount(labels, minlength=n_components)
     for j in range(n_components):
-        sel = labels == j
-        if sel.sum() >= 2:
-            diff = pts[sel] - means[j]
-            covariances[j] = _floor_covariance(diff.T @ diff / sel.sum(), floor)
+        if sizes[j] >= 2:
+            diff = pts[labels == j] - centers[j]
+            covariances[j] = _floor_covariance(diff.T @ diff / sizes[j], floor)
         else:
             covariances[j] = np.eye(3) * max(floor, 1.0)
-        if sel.any():
-            weights[j] = sel.sum() / n
+    weights = np.where(sizes > 0, sizes / n, 1.0 / n_components)
     weights /= weights.sum()
 
-    model = GmmModel(weights, means, covariances, np.zeros(n, dtype=np.int64))
+    model = GmmModel(weights, centers, covariances, np.zeros(n, dtype=np.int64))
     ll_trace = []
     prev_ll = -np.inf
     for _ in range(max_iters):
-        log_dens = _component_log_densities(pts, model) + np.log(model.weights)
+        log_dens = _weighted_log_densities(pts, model)
         row_lse = logsumexp(log_dens, axis=1)
         ll = float(row_lse.sum())
         ll_trace.append(ll)
         resp = np.exp(log_dens - row_lse[:, None])
-
+        resp[:, resp.sum(axis=0) < 1e-8] = 1e-8
         counts = resp.sum(axis=0)
-        for j in np.flatnonzero(counts < 1e-8):
-            # Collapsed component: re-seed on the worst-fit point.
-            worst = int(np.argmin(row_lse))
-            model.means[j] = pts[worst]
-            model.covariances[j] = np.eye(3) * max(floor, 1.0)
-            resp[:, j] = 1e-8
-            counts = resp.sum(axis=0)
         model.weights = counts / counts.sum()
         model.means = (resp.T @ pts) / counts[:, None]
-        for j in range(model.n_components):
-            diff = pts - model.means[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / counts[j]
-            model.covariances[j] = _floor_covariance(cov, floor)
+        diff = pts - model.means[:, None]                               # (J, N, 3)
+        cov = np.swapaxes(diff * resp.T[:, :, None], 1, 2) @ diff / counts[:, None, None]
+        model.covariances = _floor_covariance(cov, floor)
 
         if ll - prev_ll < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
 
-    log_dens = _component_log_densities(pts, model) + np.log(model.weights)
-    model.assignments = log_dens.argmax(axis=1).astype(np.int64)
+    model.assignments = _weighted_log_densities(pts, model).argmax(axis=1).astype(np.int64)
     model.log_likelihoods = np.array(ll_trace)
     return model
 
@@ -163,15 +150,11 @@ def _outlier_components(mean_dists: np.ndarray, k: int) -> np.ndarray:
     """Row components that are not top-k nearest rows of their nearest column.
 
     ``mean_dists[i, j]`` is the distance from row component i to column
-    component j; returns a boolean outlier mask over rows.
+    component j; returns a boolean outlier mask over rows (ties rank by row).
     """
-    n_rows = mean_dists.shape[0]
-    outlier = np.zeros(n_rows, dtype=bool)
-    for i in range(n_rows):
-        j = int(np.argmin(mean_dists[i]))
-        top_k_rows = np.argsort(mean_dists[:, j], kind="stable")[:k]
-        outlier[i] = i not in top_k_rows
-    return outlier
+    top_k = np.argsort(mean_dists, axis=0, kind="stable")[:k]      # (k, columns)
+    nearest = mean_dists.argmin(axis=1)
+    return (top_k[:, nearest] != np.arange(len(mean_dists))).all(axis=0)
 
 
 def remove_outliers(src_model: GmmModel, src_cloud, tgt_model: GmmModel,

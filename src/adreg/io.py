@@ -21,6 +21,7 @@ from .geometry import RigidTransform, as_points
 
 CHECKPOINT_MAGIC = b"ADRG"
 CHECKPOINT_VERSION = 1
+MIN_TRAIN_POINTS = 64  # smallest synthetic training cloud
 
 
 class FormatError(ValueError):
@@ -261,26 +262,34 @@ class RunConfig:
         self._check_layer_sizes()
 
     def _check_layer_sizes(self):
-        """The GMM, the rejection rule and the candidate search run on the
-        coarse superpoints, so their sizes must fit the coarse layer that
-        ``backbone_scale`` gives; settings that do not fit would fail at the
-        first registration instead."""
+        """Counts that must fit each other. The GMM, the rejection rule and
+        the candidate search run on the coarse superpoints of the scaled
+        layers; layer 1 samples its ``n_out`` of the ``sample_count`` points;
+        DDIM visits at most ``diffusion_steps`` steps; a synthetic training
+        cloud has at least ``MIN_TRAIN_POINTS`` points. A setting that breaks
+        a rule would fail at the first registration or training step."""
         sizes = [cfg.n_out for cfg in scaled_layer_configs(self.backbone_scale)]
-        if sizes != sorted(sizes, reverse=True):
-            raise ValueError(f"config backbone_scale {self.backbone_scale!r} gives "
-                             f"layer sizes {sizes} that grow from layer to layer")
-        n_coarse = sizes[-1]
-        where = (f"the {n_coarse} coarse superpoints of "
-                 f"backbone_scale {self.backbone_scale!r}")
-        if self.bgmm_topk > self.gmm_components:
-            raise ValueError(f"config bgmm_topk ({self.bgmm_topk}) must be <= "
-                             f"gmm_components ({self.gmm_components})")
-        if self.gmm_components > n_coarse:
-            raise ValueError(f"config gmm_components ({self.gmm_components}) must "
-                             f"be <= {where}")
-        if max(3, self.candidates) > n_coarse:
-            raise ValueError(f"config max(3, candidates) ({max(3, self.candidates)}) "
-                             f"must be <= {where}")
+        scale = f"backbone_scale {self.backbone_scale!r}"
+        where = f"the {sizes[-1]} coarse superpoints of {scale}"
+        rules = (
+            (sizes == sorted(sizes, reverse=True),
+             f"{scale} gives layer sizes {sizes} that grow from layer to layer"),
+            (self.bgmm_topk <= self.gmm_components, f"bgmm_topk ({self.bgmm_topk}) "
+             f"must be <= gmm_components ({self.gmm_components})"),
+            (self.gmm_components <= sizes[-1],
+             f"gmm_components ({self.gmm_components}) must be <= {where}"),
+            (max(3, self.candidates) <= sizes[-1],
+             f"max(3, candidates) ({max(3, self.candidates)}) must be <= {where}"),
+            (self.sample_count >= sizes[0], f"sample_count ({self.sample_count}) "
+             f"must be >= the {sizes[0]} points layer 1 of {scale} samples"),
+            (self.sampling_steps <= self.diffusion_steps, f"sampling_steps "
+             f"({self.sampling_steps}) must be <= diffusion_steps ({self.diffusion_steps})"),
+            (self.train_points >= MIN_TRAIN_POINTS,
+             f"train_points ({self.train_points}) must be >= {MIN_TRAIN_POINTS}"),
+        )
+        for holds, rule in rules:
+            if not holds:
+                raise ValueError(f"config {rule}")
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -26,7 +26,7 @@ from .coarse import (DegeneracyError, coarse_head_backward, coarse_head_forward,
                      make_confidence_head, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
                        random_rigid_transform, transform_errors, voxel_downsample)
-from .io import Checkpoint, CheckpointError, RunConfig
+from .io import MIN_TRAIN_POINTS, Checkpoint, CheckpointError, RunConfig
 from .nnet import Adam, Param
 
 OUTLIER_MIN_RADIUS = 20.0
@@ -142,8 +142,8 @@ def gen_synthetic_pair(rng: np.random.Generator, n_points: int,
                        outlier_clusters: int) -> SyntheticPair:
     """Source scene, its rigidly moved jittered copy, and per-side far-field
     outlier clusters (masked)."""
-    if n_points < 64:
-        raise ValueError("need at least 64 points per cloud")
+    if n_points < MIN_TRAIN_POINTS:
+        raise ValueError(f"need at least {MIN_TRAIN_POINTS} points per cloud")
     source_in = _scene_points(rng, n_points)
     transform = random_rigid_transform(rng, max_rot_deg, max_trans)
     target_in = apply_transform(transform, source_in)
@@ -568,8 +568,10 @@ def train(config: RunConfig, data_dir=None, log_path=None,
           progress: bool = False) -> TrainResult:
     """Train all stages jointly; returns the checkpoint and per-epoch log.
 
-    A non-finite loss aborts training and the last good epoch checkpoint is
-    returned with ``aborted=True``.
+    With ``data_dir``, the first ``max(1, n // 8)`` of its n pairs are held
+    out for validation and the rest are trained on; a directory with fewer
+    than 2 pairs raises ``ValueError``. A non-finite loss aborts training
+    and the last good epoch checkpoint is returned with ``aborted=True``.
     """
     started = time.perf_counter()
     model = RegistrationModel(config)
@@ -578,13 +580,16 @@ def train(config: RunConfig, data_dir=None, log_path=None,
     if data_dir is not None:
         raw = [SyntheticPair(s, t, g, np.zeros(len(s), bool), np.zeros(len(t), bool))
                for s, t, g in load_pair_dir(data_dir)]
-        train_pairs = [_preprocess_pair(p, config, i) for i, p in enumerate(raw)]
-        val_pairs = raw[: max(1, len(raw) // 8)]  # register_pair preprocesses
+        if len(raw) < 2:
+            raise ValueError(f"{data_dir} holds {len(raw)} pair(s); training needs "
+                             "at least 2, one of them held out for validation")
+        n_val = max(1, len(raw) // 8)
+        val_pairs, train_raw = raw[:n_val], raw[n_val:]
     else:
         train_raw = generate_dataset(config, config.train_pairs, stream=1)
-        val_raw = generate_dataset(config, config.val_pairs, stream=2)
-        train_pairs = [_preprocess_pair(p, config, i) for i, p in enumerate(train_raw)]
-        val_pairs = val_raw  # register_pair preprocesses on its own
+        val_pairs = generate_dataset(config, config.val_pairs, stream=2)
+    # register_pair preprocesses the validation pairs on its own.
+    train_pairs = [_preprocess_pair(p, config, i) for i, p in enumerate(train_raw)]
 
     rng_train = np.random.default_rng([config.seed, 3])
     logs: list[EpochLog] = []

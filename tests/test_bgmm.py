@@ -235,3 +235,221 @@ class TestMinimumSupport:
         _, _, ms, mt = bgmm.remove_outliers(sm, src, tm, tgt, k=k, min_points=m)
         assert ms.sum() >= min(m, len(src))
         assert mt.sum() >= min(m, len(tgt))
+
+
+# Per-component formulas of the loop-based fit: the reference the whole-array
+# passes must reproduce bit for bit.
+
+def reference_floor(cov, floor):
+    vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+    vals = np.maximum(vals, floor)
+    return (vecs * vals) @ vecs.T
+
+
+def reference_log_densities(pts, model):
+    """The E-step: log(w_j N(x_n | mu_j, Sigma_j)), one component at a time."""
+    out = np.empty((len(pts), model.n_components))
+    for j in range(model.n_components):
+        chol = np.linalg.cholesky(model.covariances[j])
+        solved = np.linalg.solve(chol, (pts - model.means[j]).T)
+        maha = (solved ** 2).sum(axis=0)
+        log_det = 2.0 * np.log(np.diag(chol)).sum()
+        out[:, j] = -0.5 * (3 * bgmm.LOG_2PI + log_det + maha)
+    return out + np.log(model.weights)
+
+
+def reference_kmeans_pp(pts, k, rng):
+    n_candidates = 2 + int(np.log(k + 1))
+    centers = np.empty((k, 3))
+    centers[0] = pts[rng.integers(len(pts))]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = pts[rng.integers(len(pts))]
+            continue
+        cand_idx = rng.choice(len(pts), size=n_candidates, p=d2 / total)
+        best_idx, best_d2, best_cost = None, None, np.inf
+        for ci in cand_idx:
+            trial = np.minimum(d2, ((pts - pts[ci]) ** 2).sum(axis=1))
+            cost = trial.sum()
+            if cost < best_cost:
+                best_idx, best_d2, best_cost = ci, trial, cost
+        centers[j] = pts[best_idx]
+        d2 = best_d2
+    return centers
+
+
+def reference_lloyd_means(pts, centers, labels):
+    for j in range(len(centers)):
+        sel = labels == j
+        if sel.any():
+            centers[j] = pts[sel].mean(axis=0)
+
+
+def reference_covariances(pts, resp, means, counts, floor):
+    """The M-step covariances, one component at a time."""
+    out = np.empty((len(means), 3, 3))
+    for j in range(len(means)):
+        diff = pts - means[j]
+        out[j] = reference_floor((resp[:, j][:, None] * diff).T @ diff / counts[j], floor)
+    return out
+
+
+def reference_outliers(mean_dists, k):
+    outlier = np.zeros(mean_dists.shape[0], dtype=bool)
+    for i in range(mean_dists.shape[0]):
+        j = int(np.argmin(mean_dists[i]))
+        outlier[i] = i not in np.argsort(mean_dists[:, j], kind="stable")[:k]
+    return outlier
+
+
+def reference_fit(pts, n_components, max_iters, seed, floor, tol=1e-6):
+    rng = np.random.default_rng(seed)
+    centers = reference_kmeans_pp(pts, n_components, rng)
+
+    def labels():
+        return ((pts[:, None, :] - centers[None]) ** 2).sum(axis=-1).argmin(axis=1)
+
+    for _ in range(bgmm.KMEANS_ITERS):
+        reference_lloyd_means(pts, centers, labels())
+    weights = np.full(n_components, 1.0 / n_components)
+    covariances = np.empty((n_components, 3, 3))
+    final = labels()
+    for j in range(n_components):
+        sel = final == j
+        if sel.sum() >= 2:
+            diff = pts[sel] - centers[j]
+            covariances[j] = reference_floor(diff.T @ diff / sel.sum(), floor)
+        else:
+            covariances[j] = np.eye(3) * max(floor, 1.0)
+        if sel.any():
+            weights[j] = sel.sum() / len(pts)
+    weights /= weights.sum()
+
+    model = bgmm.GmmModel(weights, centers, covariances, np.zeros(len(pts), np.int64))
+    ll_trace, prev_ll = [], -np.inf
+    for _ in range(max_iters):
+        log_dens = reference_log_densities(pts, model)
+        row_lse = bgmm.logsumexp(log_dens, axis=1)
+        ll = float(row_lse.sum())
+        ll_trace.append(ll)
+        resp = np.exp(log_dens - row_lse[:, None])
+        counts = resp.sum(axis=0)
+        for j in np.flatnonzero(counts < 1e-8):
+            resp[:, j] = 1e-8
+            counts = resp.sum(axis=0)
+        model.weights = counts / counts.sum()
+        model.means = (resp.T @ pts) / counts[:, None]
+        model.covariances = reference_covariances(pts, resp, model.means, counts, floor)
+        if ll - prev_ll < tol and np.isfinite(prev_ll):
+            break
+        prev_ll = ll
+    model.assignments = reference_log_densities(pts, model).argmax(axis=1).astype(np.int64)
+    model.log_likelihoods = np.array(ll_trace)
+    return model
+
+
+@st.composite
+def clouds(draw, max_points=600):
+    """Gaussian blobs of 1 to 600 points, optionally snapped onto a few
+    repeated locations or flattened onto a line, so that points repeat and
+    covariances reach the floor."""
+    n = draw(st.integers(1, max_points), label="points")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    centers = rng.normal(scale=rng.uniform(0.5, 20.0), size=(int(rng.integers(1, 6)), 3))
+    pts = centers[rng.integers(len(centers), size=n)] + rng.normal(
+        scale=rng.uniform(0.01, 2.0), size=(n, 3))
+    shape = draw(st.sampled_from(["blobs", "repeated", "line"]), label="shape")
+    if shape == "repeated":
+        pts = pts[rng.integers(min(n, int(rng.integers(1, 9))), size=n)]
+    elif shape == "line":
+        pts[:, 1:] = 0.0
+    return pts
+
+
+def random_model(rng, n_components):
+    """Means, positive-definite covariances from nearly singular to broad,
+    and weights."""
+    a = rng.normal(size=(n_components, 3, 3)) * rng.uniform(0.01, 3.0, size=(n_components, 1, 1))
+    covariances = a @ np.swapaxes(a, 1, 2) + 1e-4 * np.eye(3)
+    return bgmm.GmmModel(rng.dirichlet(np.ones(n_components)),
+                         rng.normal(scale=5.0, size=(n_components, 3)), covariances,
+                         np.zeros(0, np.int64))
+
+
+class TestWholeArrayBits:
+    """The stacked E-step, M-step, floor, Lloyd means, k-means++ and rejection
+    rule against the per-component formulas, byte for byte. J runs past 8,
+    N past 128: numpy's pairwise sums change course at both."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pts=clouds(), n_components=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_e_step(self, pts, n_components, seed):
+        model = random_model(np.random.default_rng(seed), n_components)
+        got = bgmm._weighted_log_densities(pts, model)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == reference_log_densities(pts, model).tobytes()
+        ref_ll = float(bgmm.logsumexp(reference_log_densities(pts, model), axis=1).sum())
+        assert bgmm.gmm_log_likelihood(model, pts) == ref_ll
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           floor=st.sampled_from([1e-4, 1e-2, 1.0]))
+    def test_floor_of_a_stack(self, count, seed, floor):
+        # Asymmetric matrices with negative and sub-floor eigenvalues.
+        cov = np.random.default_rng(seed).normal(scale=0.1, size=(count, 3, 3))
+        got = bgmm._floor_covariance(cov, floor)
+        want = np.stack([reference_floor(c, floor) for c in cov])
+        assert got.tobytes() == want.tobytes()
+        assert bgmm._floor_covariance(cov[0], floor).tobytes() == want[0].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(pts=clouds(), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_kmeans_pp(self, pts, k, seed):
+        k = min(k, len(pts))
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = bgmm._kmeans_pp(pts, k, got_rng)
+        assert got.tobytes() == reference_kmeans_pp(pts, k, ref_rng).tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(pts=clouds(), n_components=st.integers(1, 12), max_iters=st.integers(1, 25),
+           seed=st.integers(0, 2**32 - 1), floor=st.sampled_from([bgmm.COVARIANCE_FLOOR, 1e-8]))
+    def test_fit(self, pts, n_components, max_iters, seed, floor):
+        # One EM iteration already compares the Lloyd means (through the
+        # first log-likelihood) and the M-step covariances.
+        n_components = min(n_components, len(pts))
+        got = bgmm.fit_gmm(pts, n_components, max_iters=max_iters, seed=seed, floor=floor)
+        want = reference_fit(pts, n_components, max_iters, seed, floor)
+        for name in ("weights", "means", "covariances", "assignments", "log_likelihoods"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_outlier_rule_with_ties(self, data):
+        rows, cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        dists = np.array(data.draw(st.lists(st.integers(0, 3), min_size=rows * cols,
+                                            max_size=rows * cols)),
+                         dtype=float).reshape(rows, cols)
+        k = data.draw(st.integers(1, min(rows, cols)))
+        for d in (dists, dists.T):
+            np.testing.assert_array_equal(bgmm._outlier_components(d, k),
+                                          reference_outliers(d, k))
+
+    def test_unclaimed_component_moves_to_the_centroid(self):
+        # Two repeated locations and three components: the third k-means++
+        # center repeats one of them and gets no point, and with a floor far
+        # below its initial unit covariance no point claims it.
+        rng = np.random.default_rng(0)
+        locations = rng.normal(size=(2, 3)) * 10
+        cloud = locations[rng.integers(2, size=40)]
+        model = bgmm.fit_gmm(cloud, 3, seed=0, floor=1e-8)
+        want = reference_fit(cloud, 3, 100, 0, 1e-8)
+        assert model.means.tobytes() == want.means.tobytes()
+        j = int(np.argmin(model.weights))
+        assert model.weights[j] == pytest.approx(1e-8, rel=1e-6)
+        np.testing.assert_allclose(model.means[j], cloud.mean(axis=0), rtol=1e-12)
+        diff = cloud - cloud.mean(axis=0)
+        np.testing.assert_allclose(model.covariances[j], diff.T @ diff / len(cloud),
+                                   atol=1e-7)

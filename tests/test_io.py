@@ -191,6 +191,30 @@ class TestRunConfig:
         for name in fields:
             assert name in str(err.value)
 
+    @pytest.mark.parametrize("text, line, fields", [
+        # DDIM cannot visit 20 of 10 diffusion steps.
+        ("sampling_steps = 20\ndiffusion_steps = 10\nseed = 1\n", 2,
+         ("sampling_steps", "diffusion_steps")),
+        ("diffusion_steps = 10\nsampling_steps = 20\n", 2,
+         ("sampling_steps", "diffusion_steps")),
+        # Layer 1 of scale 0.25 samples 256 points.
+        ("sample_count = 100\nseed = 2\n", 1, ("sample_count", "backbone_scale")),
+        ("sample_count = 100\nbackbone_scale = 0.25\nseed = 2\n", 2,
+         ("sample_count", "backbone_scale")),
+        # A synthetic training cloud has at least 64 points.
+        ("seed = 3\ntrain_points = 63\n", 2, ("train_points",)),
+    ], ids=["steps-after", "steps-before", "sample-count", "sample-count-scale",
+            "train-points"])
+    def test_settings_that_fail_at_first_use(self, text, line, fields):
+        with pytest.raises(aio.FormatError, match=f"line {line}: ") as err:
+            aio.parse_config(text)
+        for name in fields:
+            assert name in str(err.value)
+
+    def test_first_use_bounds_are_inclusive(self):
+        aio.RunConfig(sampling_steps=10, diffusion_steps=10, sample_count=256,
+                      train_points=aio.MIN_TRAIN_POINTS)
+
     def test_layer_sizes_of_accepted_settings(self):
         for scale in (1.0, 0.25, 1 / 32):
             aio.RunConfig(backbone_scale=scale)

@@ -8,7 +8,7 @@ import pytest
 
 from adreg import bgmm, geometry, nnet, training
 from adreg.geometry import RigidTransform, random_rigid_transform
-from adreg.io import CheckpointError, RunConfig
+from adreg.io import CheckpointError, RunConfig, write_ply, write_pose_file
 
 
 def tiny_config(**overrides):
@@ -326,6 +326,45 @@ class TestTrainLoop:
         assert len(text) == 2
         assert len(result.logs) == 1
 
+    @staticmethod
+    def write_pairs(path, count):
+        cfg = tiny_config()
+        rng = np.random.default_rng(12)
+        pairs = [training.gen_synthetic_pair(rng, cfg.train_points, cfg.max_rot_deg,
+                                             cfg.max_trans, cfg.jitter, 0)
+                 for _ in range(count)]
+        for i, pair in enumerate(pairs):
+            write_ply(path / f"pair_{i:04d}_src.ply", pair.source)
+            write_ply(path / f"pair_{i:04d}_tgt.ply", pair.target)
+        write_pose_file(path / "gt.txt", [pair.transform for pair in pairs])
+
+    def test_pair_directory_holds_out_its_validation_pairs(self, tmp_path, monkeypatch):
+        self.write_pairs(tmp_path, 3)
+        seen = {"train": [], "val": []}
+        preprocess, validate = training._preprocess_pair, training._validate
+
+        def spy_preprocess(pair, config, idx):
+            seen["train"].append(pair.source.tobytes())
+            return preprocess(pair, config, idx)
+
+        def spy_validate(model, val_pairs):
+            seen["val"].extend(pair.source.tobytes() for pair in val_pairs)
+            return validate(model, val_pairs)
+
+        monkeypatch.setattr(training, "_preprocess_pair", spy_preprocess)
+        monkeypatch.setattr(training, "_validate", spy_validate)
+        result = training.train(tiny_config(epochs=1, batch_size=2), data_dir=tmp_path)
+        assert len(result.logs) == 1
+        sources = [s.tobytes() for s, _, _ in training.load_pair_dir(tmp_path)]
+        assert seen["val"] == sources[:1]
+        assert seen["train"] == sources[1:]
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_pair_directory_needs_two_pairs(self, tmp_path, count):
+        self.write_pairs(tmp_path, count)
+        with pytest.raises(ValueError, match="at least 2"):
+            training.train(tiny_config(epochs=1), data_dir=tmp_path)
+
     def test_checkpoint_model_round_trip(self):
         cfg = tiny_config(epochs=1, train_pairs=2, val_pairs=1)
         result = training.train(cfg)
@@ -395,6 +434,19 @@ class TestCheckpointErrors:
         ckpt.tensors[key][-1] = value
         with pytest.raises(CheckpointError, match=f"tensor '{re.escape(key)}'"):
             training.RegistrationModel.from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("field, value, names", [
+        ("sampling_steps", 2000.0, ("sampling_steps", "diffusion_steps")),
+        ("sample_count", 16.0, ("sample_count", "backbone_scale")),
+        ("train_points", 10.0, ("train_points",)),
+    ])
+    def test_stored_config_that_fails_at_first_use(self, field, value, names):
+        ckpt = self.checkpoint()
+        ckpt.tensors[f"config.{field}"] = np.array([value])
+        with pytest.raises(CheckpointError) as err:
+            training.RegistrationModel.from_checkpoint(ckpt)
+        for name in names:
+            assert f"'config.{name}'" in str(err.value)
 
     def test_zero_variance_loads(self):
         # A channel that was constant over every batch has variance 0.
