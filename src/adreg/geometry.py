@@ -6,6 +6,7 @@ as ``p -> R p + t``. All functions are pure; nothing here holds mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,15 @@ ORTHONORMAL_TOL = 1e-9
 # many entries, which bounds its scratch memory whatever the cloud sizes.
 # At 2**16 float64 entries (512 KB) a block's distance matrix and its
 # per-coordinate temporaries stay within a 2 MB per-core L2 cache; at 2**19
-# each was 4 MB and every pass went to L3. Blocks only split rows, so the
-# neighbours are the same at every size. Full-scale layer-1 KNN (1024
-# queries against 11,662 points, k = 64), median ms, two runs on a 2-core
-# Xeon:
+# each was 4 MB and every pass went to L3. knn_search also stops splitting
+# the queries into halves once a half's rows times its nearby targets fit
+# one block. Blocks and halves only split rows, so the neighbours are the
+# same at every size. Full-scale layer-1 KNN (1024 queries against 12-13k
+# points, k = 64, four clouds), median ms per call over 9 rounds, two runs
+# on a 2-core Xeon (the whole-row scan took 171 ms at 2**16):
 #
-#   entries   2**15    2**16    2**17    2**18    2**19
-#   ms       116/161  101/124  120/119  128/133  125/134
+#   entries   2**14    2**15    2**16    2**17    2**18
+#   ms       56/56    50/49    47/45    47/46    58/57
 _KNN_BLOCK_ENTRIES = 1 << 16
 
 
@@ -166,6 +169,17 @@ def farthest_point_sample(cloud, n: int, weights=None, seed: int = 0) -> np.ndar
 
     Unweighted mode maximizes the min-distance to the chosen set; weighted
     mode maximizes ``weights[i] * min_distance[i]`` (weights in [0, 1]).
+    Ties go to the lower index.
+
+    Each step makes one pass per numpy call over the cloud: a (3, N)
+    subtract into a reused buffer, an in-place square, two row adds and a
+    ``np.minimum``. ``(t - q) ** 2`` equals ``(q - t) ** 2`` exactly and the
+    rows are added x, y, z in turn, so the squared distances are those of
+    ``_sq_dists`` bit for bit. The score of a point is the minimum over the
+    chosen set of ``d2``, or of ``weights * sqrt(d2)``: both maps are
+    nondecreasing in ``d2`` once rounded, so while the squared distances
+    stay finite this minimum equals the map of the minimum distance, again
+    bit for bit. Non-finite weights raise ``ValueError``.
     """
     pts = as_points(cloud)
     total = len(pts)
@@ -175,27 +189,36 @@ def farthest_point_sample(cloud, n: int, weights=None, seed: int = 0) -> np.ndar
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if len(weights) != total:
             raise ValueError("weights length must match the cloud")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights contain NaN or infinite entries")
         if weights.min() < 0 or weights.max() > 1:
             raise ValueError("weights must lie in [0, 1]")
 
     cols = np.ascontiguousarray(pts.T)
+    diff = np.empty_like(cols)
+    step = diff[0]
+
+    def step_scores(i):
+        """Score of every point against the chosen point ``i``, in ``step``."""
+        np.subtract(cols, cols[:, i:i + 1], out=diff)
+        np.square(diff, out=diff)
+        np.add(step, diff[1], out=step)
+        np.add(step, diff[2], out=step)
+        if weights is not None:
+            np.multiply(weights, np.sqrt(step, out=step), out=step)
+        return step
+
     chosen = np.empty(n, dtype=np.int64)
     chosen[0] = seed % total
-    d2min = _sq_dists(cols[:, chosen[0]:chosen[0] + 1], cols)[0]
-    # A chosen point scores -1, below every unchosen one. Unweighted, the
-    # score is d2min itself, whose -1 entries survive np.minimum against
-    # the nonnegative distances. Weighted, the score buffer is refilled
-    # from d2min (0 at chosen points) and the -1 entries written again.
-    score = d2min if weights is None else np.empty(total)
+    # A chosen point scores -1, below every unchosen one; np.minimum against
+    # the nonnegative step scores keeps it there.
+    score = step_scores(chosen[0]).copy()
     score[chosen[0]] = -1.0
     for i in range(1, n):
-        if weights is not None:
-            np.multiply(weights, np.sqrt(d2min, out=score), out=score)
-            score[chosen[:i]] = -1.0
         nxt = int(np.argmax(score))
         chosen[i] = nxt
         score[nxt] = -1.0
-        np.minimum(d2min, _sq_dists(cols[:, nxt:nxt + 1], cols)[0], out=d2min)
+        np.minimum(score, step_scores(nxt), out=score)
     return chosen
 
 
@@ -211,38 +234,48 @@ def _sq_dists(q_cols: np.ndarray, t_cols: np.ndarray, lo: int = 0,
     """
     if n is None:
         n = len(q_cols)
+    shape = (q_cols.shape[1], t_cols.shape[1])
+    scratch = np.empty(shape) if n > 1 else None
 
-    def sq(c):
-        return (q_cols[c, :, None] - t_cols[c]) ** 2
+    def sq(c, out):
+        np.subtract(q_cols[c, :, None], t_cols[c], out=out)
+        return np.square(out, out=out)
 
     if n < 8:
-        acc = sq(lo)
+        acc = sq(lo, np.empty(shape))
         for c in range(lo + 1, lo + n):
-            acc += sq(c)
+            acc += sq(c, scratch)
         return acc
     if n <= 128:
-        acc = [sq(lo + j) for j in range(8)]
+        acc = [sq(lo + j, np.empty(shape)) for j in range(8)]
         blocked = n - n % 8
         for base in range(lo + 8, lo + blocked, 8):
             for j in range(8):
-                acc[j] += sq(base + j)
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+                acc[j] += sq(base + j, scratch)
+        # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), in place.
+        for step in (1, 2, 4):
+            for j in range(0, 8, 2 * step):
+                acc[j] += acc[j + step]
+        out = acc[0]
         for c in range(lo + blocked, lo + n):
-            out += sq(c)
+            out += sq(c, scratch)
         return out
     half = n // 2 - (n // 2) % 8
-    return _sq_dists(q_cols, t_cols, lo, half) + _sq_dists(q_cols, t_cols, lo + half, n - half)
+    out = _sq_dists(q_cols, t_cols, lo, half)
+    out += _sq_dists(q_cols, t_cols, lo + half, n - half)
+    return out
 
 
-def _knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> NeighborSet:
-    n, m = len(queries), len(targets)
-    indices = np.empty((n, k), dtype=np.int64)
-    dists = np.empty((n, k))
-    t_cols = np.ascontiguousarray(targets.T)
+def _knn_brute(q_cols: np.ndarray, t_cols: np.ndarray, k: int):
+    """K nearest columns of ``t_cols`` (D, M) for each column of ``q_cols``
+    (D, B), scanning every target. Yields, per block of query columns, the
+    block's first column and its (rows, k) target positions and distances,
+    ordered by (distance, position)."""
+    n, m = q_cols.shape[1], t_cols.shape[1]
     rows = max(1, _KNN_BLOCK_ENTRIES // m)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        d2 = _sq_dists(np.ascontiguousarray(queries[block].T), t_cols)
+        d2 = _sq_dists(q_cols[:, block], t_cols)
         # Order by (d2, index): argpartition picks k smallest, an index sort
         # then a stable d2 sort orders them. Where the k-th d2 ties with an
         # entry left out, the pick is arbitrary, so those rows sort in full.
@@ -254,13 +287,32 @@ def _knn_brute(queries: np.ndarray, targets: np.ndarray, k: int) -> NeighborSet:
         tied = (d2 <= kth).sum(axis=1) > k
         if tied.any():
             idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-        indices[block] = idx
-        dists[block] = np.sqrt(np.take_along_axis(d2, idx, axis=1))
-    return NeighborSet(indices, dists)
+        yield start, idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
 
 
 def knn_search(queries, targets, k: int) -> NeighborSet:
-    """K nearest targets per query (Euclidean), ties broken by lower index."""
+    """K nearest targets per query (Euclidean), ties broken by lower index.
+
+    The queries are split in halves at the median of their widest axis,
+    recursively, and each half keeps only the targets that can hold the k
+    nearest of one of its queries. Take a half with box centre c and radius
+    r = max |q - c| over its queries, and let U be the k-th distance from c
+    among its parent's candidates. Every query q of the half has k targets
+    within U + |q - c|, so its k nearest lie within U + 2r of c; targets
+    farther than that are dropped, with a relative slack that covers the
+    rounding of every distance. A half stops splitting when its rows times
+    its candidates fit one ``_KNN_BLOCK_ENTRIES`` block, or when it kept
+    every candidate with r <= U: U then dominates the reach, so smaller
+    halves gain little (k near the target count, or queries far from the
+    targets). Then ``_knn_brute`` scans its candidates, kept in ascending
+    index order.
+
+    The result equals a scan of every target bit for bit: a pair's squared
+    distance is summed the same way whatever the other targets are, and a
+    row drops only targets strictly farther than its k-th distance, so its
+    ties at that distance, and the lower-index rule among them, are kept.
+    Non-finite coordinates raise ``ValueError``.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if queries.ndim != 2 or targets.ndim != 2 or queries.shape[1] != targets.shape[1]:
@@ -269,4 +321,47 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
         raise ValueError("k must be at least 1")
     if len(targets) < k:
         raise ValueError(f"need at least k={k} targets, got {len(targets)}")
-    return _knn_brute(queries, targets, k)
+    if not (np.isfinite(queries).all() and np.isfinite(targets).all()):
+        raise ValueError("queries and targets must be finite")
+    n, width = queries.shape
+    t_all = np.ascontiguousarray(targets.T)
+    # A copy of the query columns, reordered in place as halves split, so
+    # that every half is a contiguous range; order[i] is column i's query.
+    q_cols = queries.T.copy()
+    order = np.arange(n)
+    indices = np.empty((n, k), dtype=np.int64)
+    dists = np.empty((n, k))
+    # Relative slack on the reach: every computed squared distance is within
+    # (width + 2) * eps / 2 of the true one, relative, plus an absolute
+    # error below the smallest normal number where it underflows.
+    slack = 1.0 + 8.0 * (width + 4) * np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).tiny
+    # Halves to solve: (first column, end column, candidates, split further?).
+    todo = [(0, n, np.arange(len(targets)), True)]
+    while todo:
+        lo, hi, cand, split = todo.pop()
+        q = q_cols[:, lo:hi]
+        # A half that kept every target holds them in order: no gather.
+        whole = len(cand) == len(targets)
+        t_cols = t_all if whole else np.take(t_all, cand, axis=1)
+        if not split or hi - lo == 1 or (hi - lo) * len(cand) <= _KNN_BLOCK_ENTRIES:
+            for start, idx, dist in _knn_brute(q, t_cols, k):
+                rows = order[lo + start:lo + start + len(idx)]
+                indices[rows] = idx if whole else cand[idx]
+                dists[rows] = dist
+            continue
+        mid = (hi - lo) // 2
+        halves = np.argpartition(q[np.argmax(np.ptp(q, axis=1))], mid)
+        q[:] = np.take(q, halves, axis=1)
+        order[lo:hi] = order[lo:hi][halves]
+        ends = [0, mid]
+        centres = (np.minimum.reduceat(q, ends, axis=1) + np.maximum.reduceat(q, ends, axis=1)) / 2.0
+        d2 = _sq_dists(centres, t_cols)
+        spread = _sq_dists(centres, q)
+        kth2s = np.partition(d2, k - 1, axis=1)[:, k - 1].tolist()
+        for i, (start, end) in enumerate(((lo, lo + mid), (lo + mid, hi))):
+            radius2 = float(spread[i, start - lo:end - lo].max())
+            reach = (math.sqrt(kth2s[i] + tiny) + 2.0 * math.sqrt(radius2 + tiny)) * slack
+            keep = d2[i] <= reach * reach + tiny
+            todo.append((start, end, cand[keep], radius2 > kth2s[i] or not keep.all()))
+    return NeighborSet(indices, dists)

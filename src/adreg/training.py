@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coarse, diffusion, nnet
-from .backbone import Backbone
+from .backbone import Backbone, scaled_layer_configs
 from .coarse import (DegeneracyError, coarse_head_backward, coarse_head_forward,
                      make_confidence_head, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
@@ -137,6 +137,11 @@ def _outlier_cluster(rng: np.random.Generator, size: int,
     return pts, center
 
 
+def outlier_cluster_size(n_points: int) -> int:
+    """Points in each far-field outlier cluster of an ``n_points`` scene."""
+    return max(16, n_points // 25)
+
+
 def gen_synthetic_pair(rng: np.random.Generator, n_points: int,
                        max_rot_deg: float, max_trans: float, jitter: float,
                        outlier_clusters: int) -> SyntheticPair:
@@ -150,7 +155,7 @@ def gen_synthetic_pair(rng: np.random.Generator, n_points: int,
     if jitter > 0:
         target_in = target_in + rng.normal(scale=jitter, size=target_in.shape)
 
-    cluster_size = max(16, n_points // 25)
+    cluster_size = outlier_cluster_size(n_points)
     src_centers_tgt_frame: list[np.ndarray] = []
     src_chunks, tgt_chunks = [], []
     for _ in range(outlier_clusters):
@@ -572,8 +577,20 @@ def train(config: RunConfig, data_dir=None, log_path=None,
     out for validation and the rest are trained on; a directory with fewer
     than 2 pairs raises ``ValueError``. A non-finite loss aborts training
     and the last good epoch checkpoint is returned with ``aborted=True``.
+    Synthetic clouds too small for layer 1 raise ``ValueError`` up front.
     """
     started = time.perf_counter()
+    if data_dir is None:
+        # Voxel downsampling only merges points, so a synthetic cloud never
+        # holds more than its scene points plus its outlier clusters.
+        most = (config.train_points + config.outlier_clusters
+                * outlier_cluster_size(config.train_points))
+        need = scaled_layer_configs(config.backbone_scale)[0].n_out
+        if most < need:
+            raise ValueError(
+                f"config train_points ({config.train_points}) makes synthetic clouds "
+                f"of at most {most} points, below the {need} points layer 1 of "
+                f"backbone_scale {config.backbone_scale!r} samples")
     model = RegistrationModel(config)
     optimizer = model.make_optimizer()
 

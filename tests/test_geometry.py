@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adreg import geometry as geo
+from adreg import training
+from adreg.backbone import scaled_layer_configs
 from adreg.geometry import RigidTransform
+from adreg.io import RunConfig
 
 
 def rot_z(deg):
@@ -27,6 +32,30 @@ def knn_oracle(queries, targets, k):
         order = sorted(range(len(targets)), key=lambda j: (d2[j], j))[:k]
         indices[qi] = order
         dists[qi] = np.sqrt(d2[order])
+    return indices, dists
+
+
+def whole_row_knn(queries, targets, k):
+    """The KNN that scans every target for each block of query rows, as
+    knn_search did before it kept each block to its nearby targets."""
+    n, m = len(queries), len(targets)
+    indices = np.empty((n, k), dtype=np.int64)
+    dists = np.empty((n, k))
+    t_cols = np.ascontiguousarray(targets.T)
+    rows = max(1, geo._KNN_BLOCK_ENTRIES // m)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        d2 = geo._sq_dists(np.ascontiguousarray(queries[block].T), t_cols)
+        picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, picked[:, k - 1:], axis=1)
+        picked.sort(axis=1)
+        order = np.argsort(np.take_along_axis(d2, picked, axis=1), axis=1, kind="stable")
+        idx = np.take_along_axis(picked, order, axis=1)
+        tied = (d2 <= kth).sum(axis=1) > k
+        if tied.any():
+            idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        indices[block] = idx
+        dists[block] = np.sqrt(np.take_along_axis(d2, idx, axis=1))
     return indices, dists
 
 
@@ -275,6 +304,34 @@ class TestFarthestPointSample:
         assert sorted(got) == list(range(40))
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_raises(self, value):
+        weights = np.full(10, 0.5)
+        weights[4] = value
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            geo.farthest_point_sample(np.random.default_rng(22).normal(size=(10, 3)), 3,
+                                      weights=weights)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_property(self, data):
+        # Half-unit coordinates repeat points and distances; weights take
+        # the bounds 0 and 1 often.
+        coord = st.integers(-4, 4).map(lambda v: v / 2.0)
+        points = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=30))
+        copies = data.draw(st.lists(st.integers(0, len(points) - 1), max_size=10))
+        cloud = np.array(points + [points[i] for i in copies])
+        total = len(cloud)
+        weights = None
+        if data.draw(st.booleans()):
+            weight = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+            weights = np.array(data.draw(st.lists(weight, min_size=total, max_size=total)))
+        n = data.draw(st.one_of(st.just(total), st.integers(1, total)))
+        seed = data.draw(st.integers(0, 3 * total))
+        got = geo.farthest_point_sample(cloud, n, weights=weights, seed=seed)
+        np.testing.assert_array_equal(got, fps_reference(cloud, n, weights, seed=seed))
+
+
 class TestKnnSearch:
     def test_self_match(self):
         cloud = np.random.default_rng(11).normal(size=(20, 3))
@@ -350,6 +407,77 @@ class TestKnnSearch:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             geo.knn_search(np.zeros((2, 3)), np.zeros((3, 3)), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["queries", "targets"])
+    def test_non_finite_coordinates_raise(self, side, value):
+        rng = np.random.default_rng(20)
+        arrays = {"queries": rng.normal(size=(40, 3)), "targets": rng.normal(size=(50, 3))}
+        arrays[side][7] = value
+        with pytest.raises(ValueError, match="finite"):
+            geo.knn_search(arrays["queries"], arrays["targets"], 4)
+
+    def test_tie_exactly_at_the_margin_of_a_half(self):
+        # With one-entry blocks every query becomes its own half of radius
+        # 0, whose reach is its k-th distance: the targets at -1 and 1 (and
+        # at 1 and 3) tie exactly there, and the lower index must win.
+        targets = np.array([[-1.0], [1.0], [3.0], [5.0]])
+        queries = np.array([[0.0], [2.0], [4.0]])
+        with mock.patch.object(geo, "_KNN_BLOCK_ENTRIES", 1):
+            for k in (1, 2, 3):
+                ns = geo.knn_search(queries, targets, k)
+                want_idx, want_dist = knn_oracle(queries, targets, k)
+                np.testing.assert_array_equal(ns.indices, want_idx)
+                np.testing.assert_array_equal(ns.distances, want_dist)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_local_search_matches_oracle_property(self, data):
+        # Blocks of 16 entries make small inputs split into many halves.
+        width = data.draw(st.sampled_from([1, 3, 9]))
+        layout = data.draw(st.sampled_from(["clustered", "grid", "duplicates", "outside"]))
+        n_t = data.draw(st.integers(1, 60))
+        n_q = data.draw(st.integers(1, 40))
+        k = data.draw(st.one_of(st.just(n_t), st.integers(1, n_t)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if layout == "clustered":
+            centres = rng.normal(size=(3, width)) * 20.0
+            targets = centres[rng.integers(0, 3, n_t)] + rng.normal(size=(n_t, width)) * 0.05
+            queries = centres[rng.integers(0, 3, n_q)] + rng.normal(size=(n_q, width)) * 0.05
+        elif layout == "grid":
+            # Half-unit coordinates: equal distances, at the k-th neighbour
+            # and at the reach of a half, are common.
+            targets = rng.integers(-4, 5, size=(n_t, width)) / 2.0
+            queries = rng.integers(-4, 5, size=(n_q, width)) / 2.0
+        elif layout == "duplicates":
+            base = rng.normal(size=(max(1, n_t // 4), width))
+            targets = base[rng.integers(0, len(base), n_t)]
+            queries = base[rng.integers(0, len(base), n_q)]
+        else:
+            # Queries outside the targets' bounding box.
+            targets = rng.uniform(-1.0, 1.0, size=(n_t, width))
+            queries = rng.uniform(-1.0, 1.0, size=(n_q, width)) + 5.0 * rng.choice([-1, 1], width)
+        before = queries.copy()
+        with mock.patch.object(geo, "_KNN_BLOCK_ENTRIES", 16):
+            ns = geo.knn_search(queries, targets, k)
+        np.testing.assert_array_equal(queries, before)  # split order is a copy
+        want_idx, want_dist = knn_oracle(queries, targets, k)
+        np.testing.assert_array_equal(ns.indices, want_idx)
+        np.testing.assert_array_equal(ns.distances, want_dist)
+
+    def test_full_scale_layer_one_matches_the_whole_row_scan(self):
+        config = RunConfig(backbone_scale=1.0)
+        pair = training.gen_synthetic_pair(np.random.default_rng(21), 60_000,
+                                           config.max_rot_deg, config.max_trans,
+                                           config.jitter, config.outlier_clusters)
+        pts = training.preprocess_cloud(pair.source, config, seed=0)
+        layer = scaled_layer_configs(1.0)[0]
+        queries = pts[geo.farthest_point_sample(pts, layer.n_out)]
+        assert len(pts) > 10_000 and layer.k_group == 64
+        ns = geo.knn_search(queries, pts, layer.k_group)
+        want_idx, want_dist = whole_row_knn(queries, pts, layer.k_group)
+        assert ns.indices.tobytes() == want_idx.tobytes()
+        assert ns.distances.tobytes() == want_dist.tobytes()
 
 
 class TestRandomRigidTransform:

@@ -211,6 +211,18 @@ class TestRunConfig:
         for name in fields:
             assert name in str(err.value)
 
+    def test_train_points_below_layer_one_fail_before_training(self):
+        # 200 scene points and one 16-point outlier cluster make at most 216
+        # points; layer 1 of the default scale 0.25 samples 256. Such a
+        # config still registers, so only train() rejects it.
+        from adreg import training
+
+        config = aio.RunConfig(train_points=200, train_pairs=2, val_pairs=1,
+                               epochs=1, batch_size=2)
+        with pytest.raises(ValueError, match=r"train_points \(200\) .* 216 .* 256 ") as err:
+            training.train(config)
+        assert "backbone_scale 0.25" in str(err.value)
+
     def test_first_use_bounds_are_inclusive(self):
         aio.RunConfig(sampling_steps=10, diffusion_steps=10, sample_count=256,
                       train_points=aio.MIN_TRAIN_POINTS)
