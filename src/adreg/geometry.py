@@ -146,7 +146,12 @@ def voxel_downsample(cloud, voxel: float) -> np.ndarray:
     pts = as_points(cloud)
     if len(pts) == 0:
         return pts
-    keys = np.floor(pts / voxel).astype(np.int64)
+    keys = np.floor(pts / voxel)
+    # A key past 2**63 has no int64: the cast would merge far points.
+    if np.abs(keys).max() >= 2.0 ** 63:
+        raise ValueError(f"voxel size {voxel:g} gives integer keys past 2**63 for "
+                         f"the largest coordinate {np.abs(pts).max():g}")
+    keys = keys.astype(np.int64)
     # Rows sorted by (x, y, z) key, the order np.unique(keys, axis=0) gives,
     # without packing the three keys into one integer that could overflow.
     order = np.lexsort(keys.T[::-1])

@@ -267,7 +267,8 @@ class RunConfig:
         layers; layer 1 samples its ``n_out`` of the ``sample_count`` points;
         DDIM visits at most ``diffusion_steps`` steps; a synthetic training
         cloud has at least ``MIN_TRAIN_POINTS`` points. A setting that breaks
-        a rule would fail at the first registration or training step."""
+        a rule would fail at the first registration or training step. The
+        seed must fit numpy's seeding and its float64 checkpoint tensor."""
         sizes = [cfg.n_out for cfg in scaled_layer_configs(self.backbone_scale)]
         scale = f"backbone_scale {self.backbone_scale!r}"
         where = f"the {sizes[-1]} coarse superpoints of {scale}"
@@ -286,6 +287,7 @@ class RunConfig:
              f"({self.sampling_steps}) must be <= diffusion_steps ({self.diffusion_steps})"),
             (self.train_points >= MIN_TRAIN_POINTS,
              f"train_points ({self.train_points}) must be >= {MIN_TRAIN_POINTS}"),
+            (0 <= self.seed < 2 ** 53, f"seed ({self.seed}) must lie in [0, 2**53)"),
         )
         for holds, rule in rules:
             if not holds:
@@ -293,6 +295,12 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+def fields_named_in(exc: ValueError, names) -> list[str]:
+    """Those of ``names`` that a ``RunConfig`` error names: the fields whose
+    values break its rule."""
+    return [name for name in names if re.search(rf"\b{name}\b", str(exc))]
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -317,7 +325,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         return RunConfig(**values)
     except ValueError as exc:
         # Point at the last line that set a field the message names.
-        named = [n for key, n in lines.items() if re.search(rf"\b{key}\b", str(exc))]
+        named = [lines[key] for key in fields_named_in(exc, lines)]
         where = f"{source}: line {max(named)}" if named else source
         raise FormatError(f"{where}: {exc}") from None
 
@@ -344,10 +352,10 @@ def save_config(cfg: RunConfig, path) -> None:
 
 @dataclass
 class Checkpoint:
-    """Named float64 tensors (stored flat): parameters, batch-norm buffers,
-    optimizer moments, and a numeric config snapshot. The noise schedule is
-    a function of the config and is not stored; a ``schedule.betas`` tensor
-    left by an older writer is ignored."""
+    """Named float64 tensors (stored flat). A model's checkpoint holds its
+    parameters, batch-norm buffers and config fields. The optimizer is not
+    saved and the noise schedule follows from the config, so ``optim.*``
+    and ``schedule.*`` tensors left by older writers are ignored."""
 
     version: int = CHECKPOINT_VERSION
     tensors: dict[str, np.ndarray] = field(default_factory=dict)

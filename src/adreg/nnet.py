@@ -21,6 +21,9 @@ import numpy as np
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # finite_diff_check: one-sided slopes further apart than this (relative)
 # mark a kink inside the probe interval; the step then shrinks tenfold, at
 # most KINK_SHRINKS times, before the coordinate is skipped.
@@ -440,15 +443,13 @@ class MLP:
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed name -> Param mapping."""
+    """Bias-corrected Adam over a fixed name -> Param mapping, with the
+    ``ADAM_*`` decays and epsilon. Its moments live only as long as it does:
+    a checkpoint holds the model alone."""
 
-    def __init__(self, params: dict[str, Param], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Param], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
@@ -459,47 +460,17 @@ class Adam:
 
     def step(self):
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
             if p.value.shape != g.shape:
                 raise ValueError(f"gradient shape mismatch for '{name}'")
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {"optim.step": np.array([float(self.step_count)])}
-        for name in self.params:
-            out[f"optim.m.{name}"] = self.m[name].reshape(-1).copy()
-            out[f"optim.v.{name}"] = self.v[name].reshape(-1).copy()
-        return out
-
-    def load_state_tensors(self, tensors: dict[str, np.ndarray]):
-        """Restore the state that ``state_tensors`` saved. ``optim.step``
-        must hold one finite, integral, non-negative value and each moment
-        tensor one value per parameter entry; otherwise ``ValueError`` names
-        the tensor and nothing is loaded."""
-        step = np.asarray(tensors["optim.step"], dtype=np.float64).reshape(-1)
-        if step.size != 1 or not np.isfinite(step[0]) or step[0] < 0 \
-                or not float(step[0]).is_integer():
-            raise ValueError(f"tensor 'optim.step' holds {step[:4].tolist()} (size "
-                             f"{step.size}); expected one non-negative integer")
-        moments = {}
-        for name, p in self.params.items():
-            for key in (f"optim.m.{name}", f"optim.v.{name}"):
-                flat = tensors[key]
-                if flat.size != p.value.size:
-                    raise ValueError(f"tensor '{key}' holds {flat.size} values, "
-                                     f"expected {p.value.size}")
-                moments[key] = flat.reshape(p.value.shape).copy()
-        self.step_count = int(step[0])
-        for name in self.params:
-            self.m[name] = moments[f"optim.m.{name}"]
-            self.v[name] = moments[f"optim.v.{name}"]
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def finite_diff_check(forward_backward, params: dict[str, Param], h: float = 1e-5,

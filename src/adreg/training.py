@@ -12,7 +12,6 @@ parameters; ground-truth correspondences are supervision constants.
 from __future__ import annotations
 
 import dataclasses
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +25,8 @@ from .coarse import (DegeneracyError, coarse_head_backward, coarse_head_forward,
                      make_confidence_head, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
                        random_rigid_transform, transform_errors, voxel_downsample)
-from .io import MIN_TRAIN_POINTS, Checkpoint, CheckpointError, RunConfig
+from .io import (MIN_TRAIN_POINTS, Checkpoint, CheckpointError, RunConfig,
+                 fields_named_in)
 from .nnet import Adam, Param
 
 OUTLIER_MIN_RADIUS = 20.0
@@ -214,7 +214,9 @@ class RegistrationModel:
         for p in self.named_params().values():
             p.zero_grad()
 
-    def to_checkpoint(self, optimizer: Adam | None = None) -> Checkpoint:
+    def to_checkpoint(self) -> Checkpoint:
+        """The tensors ``from_checkpoint`` rebuilds this model from: every
+        parameter, batch-norm buffer and config field."""
         tensors: dict[str, np.ndarray] = {}
         for name, p in self.named_params().items():
             tensors[f"param.{name}"] = p.value.reshape(-1).copy()
@@ -222,25 +224,31 @@ class RegistrationModel:
             tensors[f"buffer.{name}"] = buf.reshape(-1).copy()
         for fname, value in vars(self.config).items():
             tensors[f"config.{fname}"] = np.array([float(value)])
-        if optimizer is not None:
-            tensors.update(optimizer.state_tensors())
         return Checkpoint(tensors=tensors)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "RegistrationModel":
-        """Rebuild a model; a checkpoint whose stored config is invalid, or
-        that lacks a parameter or holds a tensor of the wrong size, raises
-        ``CheckpointError`` naming the tensor. Each ``config.*`` tensor must
-        hold one finite value, integral for an integer field; ``param.*``
-        and ``buffer.*`` tensors must be finite, and a ``running_var`` must
-        not be negative. The noise schedule is rebuilt from the config."""
+        """Rebuild a model from the tensors ``to_checkpoint`` writes; others
+        (an older writer's ``optim.*`` and ``schedule.*``) are ignored. A
+        missing tensor raises ``CheckpointError`` naming it, and so does a
+        ``config.*`` tensor that is not one finite value (integral for an
+        integer field) or breaks a config rule, a ``param.*`` or ``buffer.*``
+        tensor that is not one finite value per entry, or a negative
+        ``running_var``. The noise schedule is rebuilt from the config."""
+
+        def stored(key: str) -> np.ndarray:
+            if key not in ckpt.tensors:
+                raise CheckpointError(f"checkpoint lacks tensor '{key}'")
+            flat = np.asarray(ckpt.tensors[key], dtype=np.float64).reshape(-1)
+            if not np.isfinite(flat).all():
+                raise CheckpointError(f"tensor '{key}' holds non-finite values")
+            return flat
+
         kwargs = {}
         for f in dataclasses.fields(RunConfig):
             key = f"config.{f.name}"
-            if key not in ckpt.tensors:
-                continue
-            raw = np.asarray(ckpt.tensors[key], dtype=np.float64).reshape(-1)
-            if raw.size != 1 or not np.isfinite(raw[0]):
+            raw = stored(key)
+            if raw.size != 1:
                 raise CheckpointError(f"tensor '{key}' holds {raw[:4].tolist()} (size "
                                       f"{raw.size}); expected one finite value")
             value = float(raw[0])
@@ -253,36 +261,20 @@ class RegistrationModel:
         try:
             config = RunConfig(**kwargs)
         except ValueError as exc:
-            # RunConfig's message names the fields whose values break a rule.
-            named = [f"'config.{name}'" for name in kwargs
-                     if re.search(rf"\b{name}\b", str(exc))]
+            named = [f"'config.{name}'" for name in fields_named_in(exc, kwargs)]
             raise CheckpointError(f"checkpoint tensors {', '.join(named) or 'config.*'} "
                                   f"hold an invalid config: {exc}") from exc
         model = cls(config)
-
-        def stored(key: str, shape: tuple) -> np.ndarray:
-            flat = ckpt.tensors[key]
-            want = int(np.prod(shape))
-            if flat.size != want:
+        targets = [(f"param.{name}", p.value) for name, p in model.named_params().items()]
+        targets += [(f"buffer.{name}", buf) for name, buf in model._buffer_modules()]
+        for key, target in targets:
+            flat = stored(key)
+            if flat.size != target.size:
                 raise CheckpointError(
-                    f"tensor '{key}' holds {flat.size} values, expected {want}")
-            if not np.isfinite(flat).all():
-                raise CheckpointError(f"tensor '{key}' holds non-finite values")
-            return flat.reshape(shape)
-
-        for name, p in model.named_params().items():
-            key = f"param.{name}"
-            if key not in ckpt.tensors:
-                raise CheckpointError(f"checkpoint lacks tensor '{key}'")
-            p.value = stored(key, p.value.shape).copy()
-            p.grad = np.zeros_like(p.value)
-        for name, buf in model._buffer_modules():
-            key = f"buffer.{name}"
-            if key in ckpt.tensors:
-                value = stored(key, buf.shape)
-                if name.endswith(".running_var") and (value < 0).any():
-                    raise CheckpointError(f"tensor '{key}' holds a negative variance")
-                buf[...] = value
+                    f"tensor '{key}' holds {flat.size} values, expected {target.size}")
+            if key.endswith(".running_var") and (flat < 0).any():
+                raise CheckpointError(f"tensor '{key}' holds a negative variance")
+            target[...] = flat.reshape(target.shape)
         return model
 
     def make_optimizer(self) -> Adam:
@@ -577,15 +569,16 @@ def train(config: RunConfig, data_dir=None, log_path=None,
     out for validation and the rest are trained on; a directory with fewer
     than 2 pairs raises ``ValueError``. A non-finite loss aborts training
     and the last good epoch checkpoint is returned with ``aborted=True``.
-    Synthetic clouds too small for layer 1 raise ``ValueError`` up front.
+    Training or validation clouds too small for layer 1 raise ``ValueError``
+    before the first step.
     """
     started = time.perf_counter()
+    need = scaled_layer_configs(config.backbone_scale)[0].n_out
     if data_dir is None:
         # Voxel downsampling only merges points, so a synthetic cloud never
         # holds more than its scene points plus its outlier clusters.
         most = (config.train_points + config.outlier_clusters
                 * outlier_cluster_size(config.train_points))
-        need = scaled_layer_configs(config.backbone_scale)[0].n_out
         if most < need:
             raise ValueError(
                 f"config train_points ({config.train_points}) makes synthetic clouds "
@@ -600,6 +593,16 @@ def train(config: RunConfig, data_dir=None, log_path=None,
         if len(raw) < 2:
             raise ValueError(f"{data_dir} holds {len(raw)} pair(s); training needs "
                              "at least 2, one of them held out for validation")
+        # preprocess_cloud keeps min(voxels, sample_count) points whatever
+        # its seed, and RunConfig holds sample_count >= need.
+        for i, pair in enumerate(raw):
+            for side, cloud in (("src", pair.source), ("tgt", pair.target)):
+                voxels = len(voxel_downsample(cloud, config.voxel_size))
+                if voxels < need:
+                    raise ValueError(
+                        f"{Path(data_dir) / f'pair_{i:04d}_{side}.ply'} fills {voxels} "
+                        f"voxels of size {config.voxel_size!r}, fewer than the {need} "
+                        f"points layer 1 of backbone_scale {config.backbone_scale!r} samples")
         n_val = max(1, len(raw) // 8)
         val_pairs, train_raw = raw[:n_val], raw[n_val:]
     else:
@@ -611,7 +614,7 @@ def train(config: RunConfig, data_dir=None, log_path=None,
     rng_train = np.random.default_rng([config.seed, 3])
     logs: list[EpochLog] = []
     skipped = 0
-    last_good = model.to_checkpoint(optimizer)
+    last_good = model.to_checkpoint()
     for epoch in range(config.epochs):
         optimizer.lr = learning_rate_at(config, epoch)
         order = rng_train.permutation(len(train_pairs))
@@ -651,7 +654,7 @@ def train(config: RunConfig, data_dir=None, log_path=None,
         denom = max(seen, 1)
         logs.append(EpochLog(epoch, sums["trans"] / denom, sums["rot"] / denom,
                              sums["diff"] / denom, val_rte, val_rre))
-        last_good = model.to_checkpoint(optimizer)
+        last_good = model.to_checkpoint()
         if progress:
             log = logs[-1]
             print(f"epoch {log.epoch:3d} lr {optimizer.lr:.2e} "

@@ -199,6 +199,14 @@ class TestVoxelDownsample:
                                 [[-1e6, -1e6, -1e6], [1e6, 1e6, 1e6]]])
         assert_same_grid(cloud, 1e-3)
 
+    def test_keys_past_int64_are_rejected(self):
+        # 3e18 m at 0.3 m voxels is 1e19 cells, past the 9.2e18 an int64
+        # holds; cast anyway, the two points would share one cell.
+        cloud = [[3e18, 0.0, 0.0], [-3e18, 0.0, 0.0]]
+        with pytest.raises(ValueError, match=r"voxel size 0\.3 .* coordinate 3e\+18"):
+            geo.voxel_downsample(cloud, 0.3)
+        assert len(geo.voxel_downsample(cloud, 1.0)) == 2
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(-12, 12)] * 3), min_size=1, max_size=60),
            st.integers(0, 2 ** 32 - 1))

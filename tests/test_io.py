@@ -203,8 +203,12 @@ class TestRunConfig:
          ("sample_count", "backbone_scale")),
         # A synthetic training cloud has at least 64 points.
         ("seed = 3\ntrain_points = 63\n", 2, ("train_points",)),
+        # numpy's seeding rejects a negative seed; a float64 checkpoint
+        # tensor holds every seed below 2**53, and not 2**53 + 1.
+        ("train_points = 64\nseed = -1\n", 2, ("seed",)),
+        ("seed = 9007199254740993\n", 1, ("seed",)),
     ], ids=["steps-after", "steps-before", "sample-count", "sample-count-scale",
-            "train-points"])
+            "train-points", "negative-seed", "seed-2**53+1"])
     def test_settings_that_fail_at_first_use(self, text, line, fields):
         with pytest.raises(aio.FormatError, match=f"line {line}: ") as err:
             aio.parse_config(text)

@@ -327,40 +327,6 @@ class TestAdam:
             opt.step()
         assert abs(p.value[0]) < 0.05
 
-    def test_state_round_trip(self):
-        rng = np.random.default_rng(10)
-        p = nnet.Param(rng.normal(size=4))
-        opt = nnet.Adam({"p": p}, lr=0.05)
-        for _ in range(3):
-            opt.zero_grad()
-            p.grad[:] = rng.normal(size=4)
-            opt.step()
-        state = opt.state_tensors()
-        opt2 = nnet.Adam({"p": nnet.Param(p.value.copy())}, lr=0.05)
-        opt2.load_state_tensors(state)
-        assert opt2.step_count == 3
-        np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
-
-    @pytest.mark.parametrize("key, value", [
-        ("optim.step", []),
-        ("optim.step", [np.nan]),
-        ("optim.step", [np.inf]),
-        ("optim.step", [2.7]),
-        ("optim.step", [-1.0]),
-        ("optim.step", [3.0, 4.0]),
-        ("optim.m.p", np.zeros(3)),
-        ("optim.v.p", np.zeros(5)),
-    ], ids=["empty", "nan", "inf", "fraction", "negative", "two-values",
-            "short-m", "long-v"])
-    def test_load_rejects_a_bad_tensor_and_keeps_the_state(self, key, value):
-        opt = nnet.Adam({"p": nnet.Param(np.ones(4))})
-        state = opt.state_tensors()
-        state["optim.step"] = np.array([5.0])
-        state[key] = np.array(value, dtype=np.float64)
-        with pytest.raises(ValueError, match=f"tensor '{key}'"):
-            opt.load_state_tensors(state)
-        assert opt.step_count == 0
-
 
 class TestFuseCandidates:
     @settings(max_examples=80, deadline=None)

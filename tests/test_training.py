@@ -8,7 +8,7 @@ import pytest
 
 from adreg import bgmm, geometry, nnet, training
 from adreg.geometry import RigidTransform, random_rigid_transform
-from adreg.io import CheckpointError, RunConfig, write_ply, write_pose_file
+from adreg.io import Checkpoint, CheckpointError, RunConfig, write_ply, write_pose_file
 
 
 def tiny_config(**overrides):
@@ -365,6 +365,32 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="at least 2"):
             training.train(tiny_config(epochs=1), data_dir=tmp_path)
 
+    @pytest.mark.parametrize("index, side", [(1, "src"), (0, "tgt")],
+                             ids=["training-pair", "validation-pair"])
+    def test_pair_too_small_for_layer_one_fails_before_the_first_step(
+            self, tmp_path, monkeypatch, index, side):
+        # Layer 1 of the tiny config's scale 1/32 samples 32 points; of 3
+        # pairs the first is held out for validation.
+        self.write_pairs(tmp_path, 3)
+        name = f"pair_{index:04d}_{side}.ply"
+        write_ply(tmp_path / name, np.arange(30.0).reshape(10, 3))
+        steps = []
+        monkeypatch.setattr(training, "make_step_context",
+                            lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=rf"{name} fills 10 voxels .* 32 points"):
+            training.train(tiny_config(epochs=1, batch_size=2), data_dir=tmp_path)
+        assert not steps
+
+    def test_checkpoint_holds_what_rebuilds_the_model(self):
+        cfg = tiny_config(epochs=1, train_pairs=2, val_pairs=1)
+        tensors = training.train(cfg).checkpoint.tensors
+        model = training.RegistrationModel(cfg)
+        want = ([f"param.{name}" for name in model.named_params()]
+                + [f"buffer.{name}" for name, _ in model._buffer_modules()]
+                + [f"config.{name}" for name in vars(cfg)])
+        assert list(tensors) == want
+        assert len(want) == 205
+
     def test_checkpoint_model_round_trip(self):
         cfg = tiny_config(epochs=1, train_pairs=2, val_pairs=1)
         result = training.train(cfg)
@@ -390,11 +416,30 @@ class TestCheckpointErrors:
             training.RegistrationModel.from_checkpoint(ckpt)
 
     def test_missing_tensor(self):
-        ckpt = self.checkpoint()
-        key = next(k for k in ckpt.tensors if k.startswith("param."))
-        del ckpt.tensors[key]
-        with pytest.raises(CheckpointError, match=f"lacks tensor '{re.escape(key)}'"):
-            training.RegistrationModel.from_checkpoint(ckpt)
+        for kind in ("param.", "buffer.", "config."):
+            ckpt = self.checkpoint()
+            key = next(k for k in ckpt.tensors if k.startswith(kind))
+            del ckpt.tensors[key]
+            with pytest.raises(CheckpointError, match=f"lacks tensor '{re.escape(key)}'"):
+                training.RegistrationModel.from_checkpoint(ckpt)
+
+    def test_older_writers_optimizer_tensors_are_ignored(self):
+        # Earlier writers also stored Adam's step count and moments. Moved
+        # values show that the stored ones, not a fresh model's, are loaded.
+        model = training.RegistrationModel(tiny_config())
+        ckpt = model.to_checkpoint()
+        for name, arr in ckpt.tensors.items():
+            if not name.startswith("config."):
+                ckpt.tensors[name] = arr * 1.5 + 0.25
+        old = dict(ckpt.tensors, **{"optim.step": np.array([3.0])})
+        for name, p in model.named_params().items():
+            old[f"optim.m.{name}"] = np.full(p.value.size, 0.5)
+            old[f"optim.v.{name}"] = np.full(p.value.size, 0.25)
+        loaded = training.RegistrationModel.from_checkpoint(Checkpoint(tensors=old))
+        again = loaded.to_checkpoint().tensors
+        assert list(again) == list(ckpt.tensors)
+        for name, arr in again.items():
+            assert arr.tobytes() == ckpt.tensors[name].tobytes(), name
 
     @pytest.mark.parametrize("key, value", [
         ("config.seed", []),
@@ -439,6 +484,10 @@ class TestCheckpointErrors:
         ("sampling_steps", 2000.0, ("sampling_steps", "diffusion_steps")),
         ("sample_count", 16.0, ("sample_count", "backbone_scale")),
         ("train_points", 10.0, ("train_points",)),
+        # numpy's seeding rejects a negative seed; from 2**53 on, float64
+        # cannot hold every seed.
+        ("seed", -1.0, ("seed",)),
+        ("seed", 2.0 ** 53, ("seed",)),
     ])
     def test_stored_config_that_fails_at_first_use(self, field, value, names):
         ckpt = self.checkpoint()
