@@ -171,18 +171,22 @@ class DetectorDescriptorLayer:
         """Accumulate parameter gradients; return the gradients of the layer
         input's (points, features, uncertainties). With ``raw_input`` the
         input points are the model input and the uncertainties a constant,
-        as at the first layer: their gradients are not built (None)."""
+        as at the first layer: their gradients are not built (None).
+
+        The cache serves this one backward: its activations are popped from
+        the dict as they are used, and the CBR stacks release theirs block
+        by block (``nnet.CBRStack.backward``)."""
         plan, w = cache["plan"], cache["w"]
         n_out, k = plan.groups.shape
 
-        g_desc_out = g_desc_out + self.uncertainty.backward(cache["unc"], g_unc_out)
+        g_desc_out = g_desc_out + self.uncertainty.backward(cache.pop("unc"), g_unc_out)
         g_w, g_member_pts, g_desc_feat = fuse_candidates_backward(
-            w, cache["member_pts"], cache["desc_feat"], g_pts_out, g_desc_out)
+            w, cache.pop("member_pts"), cache.pop("desc_feat"), g_pts_out, g_desc_out)
 
         g_logits = softmax_rows_backward(g_w, w)
-        g_x = self.detector.backward(cache["det"], g_logits.reshape(n_out * k, 1))
+        g_x = self.detector.backward(cache.pop("det"), g_logits.reshape(n_out * k, 1))
         g_x = g_x + self.descriptor.backward(
-            cache["desc"], g_desc_feat.reshape(n_out * k, self.out_dim))
+            cache.pop("desc"), g_desc_feat.reshape(n_out * k, self.out_dim))
 
         n_in, c = cache["n_in"], self.in_feat_dim
         g_feats_in = scatter_candidates(np.zeros((n_in, c)), plan.groups,
@@ -211,7 +215,8 @@ class BackboneOutput:
     fine: FeatureSet
     coarse: FeatureSet
     plans: tuple[LayerPlan, ...]
-    # Train mode only, for Backbone.backward.
+    # Train mode only, for one Backbone.backward, which releases it layer
+    # by layer and leaves None here.
     cache: dict | None
 
 
@@ -259,13 +264,24 @@ class Backbone:
         ``g_coarse``/``g_fine`` are (g_points, g_descriptors, g_uncertainties)
         triples for the coarse and fine feature sets. The input cloud gets
         no gradient.
+
+        The output's cache serves this one backward. It is taken from
+        ``output`` (which is left with ``cache`` None) and each layer's part
+        is dropped once that layer's backward has run, so the activations
+        are freed as the gradient moves down the layers. An output without a
+        cache, from an eval-mode forward or an earlier backward, raises
+        ``ValueError``.
         """
-        caches = output.cache["layers"]
+        if output.cache is None:
+            raise ValueError("backbone output has no cache: its forward ran in eval "
+                             "mode, or an earlier backward consumed the cache")
+        cache, output.cache = output.cache, None
+        caches = cache["layers"]
         fp, fd, fu = g_fine
-        gp, gd, gu = self.layers[2].backward(caches[2], *g_coarse)
-        gp, gd, gu = self.layers[1].backward(caches[1], gp + fp, gd + fd, gu + fu)
-        _, g_feats, _ = self.layers[0].backward(caches[0], gp, gd, gu, raw_input=True)
-        self.lift.accumulate_grads(output.cache["lift"], g_feats)
+        gp, gd, gu = self.layers[2].backward(caches.pop(), *g_coarse)
+        gp, gd, gu = self.layers[1].backward(caches.pop(), gp + fp, gd + fd, gu + fu)
+        _, g_feats, _ = self.layers[0].backward(caches.pop(), gp, gd, gu, raw_input=True)
+        self.lift.accumulate_grads(cache["lift"], g_feats)
 
     def named_params(self, prefix: str = "backbone"):
         yield from self.lift.named_params(f"{prefix}.lift")

@@ -267,8 +267,12 @@ class RunConfig:
         layers; layer 1 samples its ``n_out`` of the ``sample_count`` points;
         DDIM visits at most ``diffusion_steps`` steps; a synthetic training
         cloud has at least ``MIN_TRAIN_POINTS`` points. A setting that breaks
-        a rule would fail at the first registration or training step. The
-        seed must fit numpy's seeding and its float64 checkpoint tensor."""
+        a rule would fail at the first registration or training step. Every
+        integer field must lie in [0, 2**53): numpy's seeding takes no
+        negative seed, and a float64 checkpoint tensor holds every integer
+        below 2**53 exactly and not 2**53 + 1."""
+        unstored = [f"{f.name} ({getattr(self, f.name)})" for f in dataclasses.fields(self)
+                    if f.type in (int, "int") and not 0 <= getattr(self, f.name) < 2 ** 53]
         sizes = [cfg.n_out for cfg in scaled_layer_configs(self.backbone_scale)]
         scale = f"backbone_scale {self.backbone_scale!r}"
         where = f"the {sizes[-1]} coarse superpoints of {scale}"
@@ -287,7 +291,7 @@ class RunConfig:
              f"({self.sampling_steps}) must be <= diffusion_steps ({self.diffusion_steps})"),
             (self.train_points >= MIN_TRAIN_POINTS,
              f"train_points ({self.train_points}) must be >= {MIN_TRAIN_POINTS}"),
-            (0 <= self.seed < 2 ** 53, f"seed ({self.seed}) must lie in [0, 2**53)"),
+            (not unstored, f"{', '.join(unstored)} must lie in [0, 2**53)"),
         )
         for holds, rule in rules:
             if not holds:

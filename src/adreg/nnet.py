@@ -2,8 +2,11 @@
 activations, and Adam, all in float64 with hand-written analytic backwards.
 
 Layers are stateless between calls: ``forward`` returns ``(output, cache)``
-and ``backward(cache, grad_out)`` consumes that cache. Only train mode keeps
-a cache; an eval-mode forward is inference-only. Two writes touch shared
+and ``backward(cache, grad_out)`` consumes that cache. A cache serves one
+backward; ``CBRStack.backward`` releases each block's activations as soon as
+that block's backward has run, so a chain never holds its whole train-mode
+forward while the last gradients are built. Only train mode keeps a cache;
+an eval-mode forward is inference-only. Two writes touch shared
 model state: ``Param.accumulate`` adds a parameter gradient (callers zero
 them) and a train-mode batch norm folds its batch statistics into its
 running ones. Inside ``deferred_writes`` both go to a record of the calling
@@ -391,15 +394,16 @@ class CBRStack:
             caches.append(c)
         return x, caches if train else None
 
-    def backward(self, caches, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, caches: list, grad_out: np.ndarray) -> np.ndarray:
+        """The input gradient, from the list ``forward`` returned. It serves
+        one backward: each entry (the head's, then each block's) is set to
+        None once its backward has returned, which frees those activations
+        unless the caller holds them elsewhere."""
         g = grad_out
-        idx = len(caches) - 1
-        if self.head is not None:
-            g = self.head.backward(caches[idx], g)
-            idx -= 1
-        for block in reversed(self.blocks):
-            g = block.backward(caches[idx], g)
-            idx -= 1
+        modules = self.blocks + ([self.head] if self.head is not None else [])
+        for idx in reversed(range(len(modules))):
+            g = modules[idx].backward(caches[idx], g)
+            caches[idx] = None
         return g
 
     def named_params(self, prefix: str):

@@ -354,7 +354,7 @@ def make_step_context(model: RegistrationModel, pair: SyntheticPair,
 
     Returns (context, src_backbone_out, tgt_backbone_out). The two train-mode
     backbone forwards run at once (``_backbone_forwards``); their outputs
-    carry caches so the training step can reuse this forward pass.
+    carry caches so one training step can reuse this forward pass.
     """
     cfg = model.config
     src_out, tgt_out = _backbone_forwards(model, pair, train=True)
@@ -387,7 +387,10 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     keeps the caches a backward pass needs, so ``train=False`` evaluates the
     loss alone. The two backbone backwards also run at once, through
     ``on_both_sides``, which adds their gradients into ``Param.grad`` source
-    first, then target, as two sequential backwards would.
+    first, then target, as two sequential backwards would. A cache serves
+    one backward, which releases it as it goes (``Backbone.backward``): with
+    gradients, the outputs come back with ``cache`` None, and passing them
+    in again raises ``ValueError``.
     """
     if compute_grads and not train:
         raise ValueError("gradients need the train-mode forward; "
@@ -626,15 +629,12 @@ def train(config: RunConfig, data_dir=None, log_path=None,
             used = 0
             batch_terms = []
             for idx in batch:
-                pair = train_pairs[idx]
-                try:
-                    ctx, src_out, tgt_out = make_step_context(model, pair, rng_train)
-                    total, terms = training_loss(model, pair, ctx,
-                                                 grad_scale=1.0 / len(batch),
-                                                 outputs=(src_out, tgt_out))
-                except DegeneracyError:
+                step = _train_sample(model, train_pairs[idx], rng_train,
+                                     grad_scale=1.0 / len(batch))
+                if step is None:
                     skipped += 1
                     continue
+                total, terms = step
                 if not np.isfinite(total):
                     return TrainResult(last_good, logs, aborted=True,
                                        skipped_samples=skipped,
@@ -666,6 +666,21 @@ def train(config: RunConfig, data_dir=None, log_path=None,
         write_training_log(log_path, logs)
     return TrainResult(last_good, logs, aborted=False, skipped_samples=skipped,
                        seconds=time.perf_counter() - started)
+
+
+def _train_sample(model: RegistrationModel, pair: SyntheticPair,
+                  rng: np.random.Generator, grad_scale: float):
+    """One sample's forward and backward, as ``training_loss``'s
+    ``(total, terms)``, or None when the pair is degenerate. The backbone
+    outputs are this call's locals, so their caches die with it even when a
+    ``DegeneracyError`` stops the step before the backward consumes them:
+    no sample's caches live through the next sample's forward."""
+    try:
+        ctx, src_out, tgt_out = make_step_context(model, pair, rng)
+        return training_loss(model, pair, ctx, grad_scale=grad_scale,
+                             outputs=(src_out, tgt_out))
+    except DegeneracyError:
+        return None
 
 
 def _validate(model: RegistrationModel, val_pairs) -> tuple[float, float]:

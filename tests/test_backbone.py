@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,46 @@ class TestBackboneGradients:
 
         err = nnet.finite_diff_check(fb, params, h=1e-6, max_coords=4, seed=0)
         assert err < 1e-3
+
+
+class TestBackwardReleasesCache:
+    """A train-mode cache serves one backward, which frees it."""
+
+    @staticmethod
+    def forward(net, cloud):
+        return net.forward(cloud, seed=0, train=True)
+
+    @staticmethod
+    def output_grads(net, rng):
+        def triple(cfg):
+            return (rng.normal(size=(cfg.n_out, 3)),
+                    rng.normal(size=(cfg.n_out, cfg.widths[-1])),
+                    rng.normal(size=cfg.n_out))
+        return {"g_coarse": triple(net.configs[2]), "g_fine": triple(net.configs[1])}
+
+    def test_backward_frees_every_cached_array(self, array_weakrefs):
+        rng = np.random.default_rng(30)
+        cloud = make_cloud(rng, 64)
+        net = bb.Backbone(np.random.default_rng(31), scale=1.0 / 64.0)
+        out = self.forward(net, cloud)
+        # The output's feature sets and plans, and the input cloud, are
+        # also held by the output or the caller.
+        refs = array_weakrefs([out.cache],
+                              held=[out.fine, out.coarse, out.plans, cloud])
+        assert len(refs) > 50
+        net.backward(out, **self.output_grads(net, rng))
+        assert out.cache is None
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+
+    def test_second_backward_raises(self):
+        rng = np.random.default_rng(32)
+        cloud = make_cloud(rng, 64)
+        net = bb.Backbone(np.random.default_rng(33), scale=1.0 / 64.0)
+        grads = self.output_grads(net, rng)
+        out = self.forward(net, cloud)
+        net.backward(out, **grads)
+        with pytest.raises(ValueError, match="earlier backward consumed the cache"):
+            net.backward(out, **grads)
+        with pytest.raises(ValueError, match="eval mode"):
+            net.backward(net.forward(cloud, seed=0), **grads)

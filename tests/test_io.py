@@ -207,8 +207,10 @@ class TestRunConfig:
         # tensor holds every seed below 2**53, and not 2**53 + 1.
         ("train_points = 64\nseed = -1\n", 2, ("seed",)),
         ("seed = 9007199254740993\n", 1, ("seed",)),
+        # So does every other integer field.
+        ("epochs = 9007199254740993\nseed = 4\n", 1, ("epochs",)),
     ], ids=["steps-after", "steps-before", "sample-count", "sample-count-scale",
-            "train-points", "negative-seed", "seed-2**53+1"])
+            "train-points", "negative-seed", "seed-2**53+1", "epochs-2**53+1"])
     def test_settings_that_fail_at_first_use(self, text, line, fields):
         with pytest.raises(aio.FormatError, match=f"line {line}: ") as err:
             aio.parse_config(text)

@@ -364,6 +364,22 @@ class TestStacks:
         err = nnet.finite_diff_check(fb, dict(stack.named_params("s")), h=1e-5)
         assert err < 1e-3
 
+    def test_backward_releases_each_entry_once_its_module_has_run(self):
+        rng = np.random.default_rng(13)
+        stack = nnet.CBRStack(4, (8, 8, 6), 2, rng)
+        y, cache = stack.forward(rng.normal(size=(10, 4)), train=True)
+        released = []
+        for module in stack.blocks + [stack.head]:
+            def recorded(*args, _orig=module.backward):
+                released.append([c is None for c in cache])
+                return _orig(*args)
+            module.backward = recorded
+        stack.backward(cache, rng.normal(size=y.shape))
+        # The head's entry goes first, then each block's, last to first.
+        assert released == [[False] * 4, [False] * 3 + [True],
+                            [False] * 2 + [True] * 2, [False] + [True] * 3]
+        assert cache == [None] * 4
+
     def test_mlp_sigmoid_gradcheck(self):
         rng = np.random.default_rng(12)
         mlp = nnet.MLP(5, 8, rng)

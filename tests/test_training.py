@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import itertools
 import re
 import sys
 import threading
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from adreg import bgmm, geometry, nnet, training
+from adreg.coarse import DegeneracyError
 from adreg.geometry import RigidTransform, random_rigid_transform
 from adreg.io import Checkpoint, CheckpointError, RunConfig, write_ply, write_pose_file
 
@@ -381,6 +384,32 @@ class TestTrainLoop:
             training.train(tiny_config(epochs=1, batch_size=2), data_dir=tmp_path)
         assert not steps
 
+    @pytest.mark.parametrize("degenerate", [(), (1,)], ids=["normal", "degenerate-first"])
+    def test_each_sample_frees_its_caches_before_the_next_forward(
+            self, monkeypatch, array_weakrefs, degenerate):
+        make_step_context, training_loss = training.make_step_context, training.training_loss
+        live, alive_at_start, loss_calls = [], [], itertools.count(1)
+
+        def step_context(model, pair, rng):
+            gc.collect()
+            alive_at_start.append(sum(r() is not None for r in live))
+            ctx, so, to = make_step_context(model, pair, rng)
+            # The pair's clouds stay in the training set.
+            live[:] = array_weakrefs([so.cache, to.cache], held=[pair])
+            return ctx, so, to
+
+        def loss(*args, **kwargs):
+            if next(loss_calls) in degenerate:
+                raise DegeneracyError("forced before the backward")
+            return training_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "make_step_context", step_context)
+        monkeypatch.setattr(training, "training_loss", loss)
+        result = training.train(tiny_config(epochs=1, train_pairs=4, batch_size=2))
+        assert result.skipped_samples == len(degenerate)
+        assert alive_at_start == [0, 0, 0, 0]
+        assert len(live) > 50
+
     def test_checkpoint_holds_what_rebuilds_the_model(self):
         cfg = tiny_config(epochs=1, train_pairs=2, val_pairs=1)
         tensors = training.train(cfg).checkpoint.tensors
@@ -488,6 +517,7 @@ class TestCheckpointErrors:
         # cannot hold every seed.
         ("seed", -1.0, ("seed",)),
         ("seed", 2.0 ** 53, ("seed",)),
+        ("epochs", 2.0 ** 53, ("epochs",)),
     ])
     def test_stored_config_that_fails_at_first_use(self, field, value, names):
         ckpt = self.checkpoint()
@@ -496,6 +526,16 @@ class TestCheckpointErrors:
             training.RegistrationModel.from_checkpoint(ckpt)
         for name in names:
             assert f"'config.{name}'" in str(err.value)
+
+    def test_integers_below_2_53_reload_exactly(self):
+        cfg = tiny_config(seed=2 ** 53 - 1, epochs=2 ** 53 - 1, train_pairs=2 ** 53 - 1)
+        ckpt = training.RegistrationModel(cfg).to_checkpoint()
+        model = training.RegistrationModel.from_checkpoint(ckpt)
+        assert model.config == cfg
+        again = model.to_checkpoint().tensors
+        assert list(again) == list(ckpt.tensors)
+        for name, arr in again.items():
+            assert arr.tobytes() == ckpt.tensors[name].tobytes(), name
 
     def test_zero_variance_loads(self):
         # A channel that was constant over every batch has variance 0.
