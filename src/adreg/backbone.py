@@ -29,13 +29,20 @@ UNCERTAINTY_HIDDEN = 64
 # input, product and output stay within a 2 MB per-core L2 cache across
 # each elementwise pass; 2**19 (4 MB per array) sent every pass to L3.
 # Blocks only split rows, so the outputs are the same at every size. Eval
-# backbone forward with fixed plans, median ms, two runs on a 2-core Xeon
-# (scale 0.25 on 512 points; scale 1.0 on 60k points, 11,662 after the
-# voxel grid):
+# backbone forwards with fixed plans, both clouds of a pair on two threads
+# as register_pair runs them, median ms per pair over 15 round-robin
+# rounds, two runs on a 2-core Xeon (scale 0.25 on 512-point clouds; scale
+# 1.0 on 60k-point clouds, about 12k after the voxel grid):
 #
-#   entries   2**15    2**16    2**17    2**18    2**19
-#   0.25      52/54    44/52    60/61    73/74    92/89
-#   1.0      207/264  172/220  181/213  240/253  277/298
+#   entries   2**15    2**16    2**17    2**18
+#   0.25      89/102   72/78    67/76    74/78
+#   1.0      360/392  258/284  251/265  265/285
+#
+# Each block's numpy calls release and retake the interpreter lock, which
+# the other thread also wants, so small blocks cost more with two threads.
+# 2**17 is 3-7% faster, but its blocks hold twice the scratch: the
+# benchmark's peak RSS rose by 1 MB on register_small and 2.7 MB on
+# register_full.
 _FORWARD_BLOCK_ENTRIES = 1 << 16
 
 
@@ -127,36 +134,56 @@ class DetectorDescriptorLayer:
         """Fuse each group into an output point, descriptor and uncertainty.
 
         Returns (p_out, d_out, u_out, cache). Only train mode returns a
-        cache, for ``backward``; its batch norms fold their batch statistics
-        as they run (``nnet.BatchNorm``). Eval mode walks the output points
-        in blocks whose widest activation holds about
-        ``_FORWARD_BLOCK_ENTRIES`` entries, sized so that a block's arrays
-        stay in a core's L2 cache through the CBR stacks and the member
-        fusion; each output row depends on its own group alone, so the
-        blocks give the same bits as one whole-batch pass. Train mode takes
-        every row in one block, because batch statistics and the backward
-        pass need them all.
+        cache, for ``backward``; its stacks run through
+        ``nnet.CBRStack.forward``, whose batch norms fold their batch
+        statistics as they run (``nnet.BatchNorm``). Eval mode folds each
+        CBR's batch norm once per call (``nnet.CBRStack.fold``), not once
+        per row block, and skips the stacks' finiteness checks when a bound
+        on the layer input shows they cannot fire
+        (``nnet.folds_stay_finite``). It walks the output points in blocks
+        whose widest activation holds about ``_FORWARD_BLOCK_ENTRIES``
+        entries, sized so that a block's arrays stay in a core's L2 cache
+        through the CBR stacks and the member fusion; each output row
+        depends on its own group alone, so the blocks give the same bits as
+        one whole-batch pass. Train mode takes every row in one block,
+        because batch statistics and the backward pass need them all.
         """
         if feats.shape[1] != self.in_feat_dim:
             raise ValueError(f"expected feature width {self.in_feat_dim}, got {feats.shape[1]}")
         n_out, k = plan.groups.shape
-        widest = max(3 + self.in_feat_dim + 1, *self.cfg.widths)
+        c = self.in_feat_dim
+        width = 3 + c + 1
+        widest = max(width, *self.cfg.widths)
         rows = n_out if train else max(1, _FORWARD_BLOCK_ENTRIES // (k * widest))
+        if not train:
+            folds = (self.detector.fold(), self.descriptor.fold())
+            # Member rows hold p - centre, features and uncertainties, so
+            # no entry exceeds this bound, rounding included. np.max keeps a
+            # NaN, which keeps every check.
+            bound = 4.0 * float(np.max([pts.max(), -pts.min(), feats.max(),
+                                        -feats.min(), unc.max(), -unc.min()]))
+            checked = not all(nnet.folds_stay_finite(f, bound, rows * k) for f in folds)
         p_out = np.empty((n_out, 3))
         d_out = np.empty((n_out, self.out_dim))
         for start in range(0, n_out, rows):
             block = slice(start, start + rows)
-            groups = plan.groups[block]
-            n = len(groups)
-            member_pts = pts[groups]
-            rel = member_pts - pts[plan.selected[block]][:, None, :]
-            x = np.concatenate(
-                [rel.reshape(n * k, 3),
-                 feats[groups].reshape(n * k, -1),
-                 unc[groups].reshape(n * k, 1)], axis=1)
-            logits, det_cache = self.detector.forward(x, train)
+            members = plan.groups[block].reshape(-1)
+            n = len(members) // k
+            # The member rows [p - centre, feature, uncertainty], gathered
+            # by one flat take per input array and written into their columns.
+            member_pts = np.take(pts, members, axis=0).reshape(n, k, 3)
+            x = np.empty((n * k, width))
+            np.subtract(member_pts, pts[plan.selected[block]][:, None, :],
+                        out=x.reshape(n, k, width)[:, :, :3])
+            x[:, 3:3 + c] = np.take(feats, members, axis=0)
+            x[:, 3 + c] = np.take(unc, members)
+            if train:
+                logits, det_cache = self.detector.forward(x, train)
+                desc_rows, desc_cache = self.descriptor.forward(x, train)
+            else:
+                logits = self.detector.forward_folded(x, folds[0], checked)
+                desc_rows = self.descriptor.forward_folded(x, folds[1], checked)
             w = softmax_rows(logits.reshape(n, k))
-            desc_rows, desc_cache = self.descriptor.forward(x, train)
             desc_feat = desc_rows.reshape(n, k, self.out_dim)
             p_out[block], d_out[block] = fuse_candidates(w, member_pts, desc_feat)
         u_out, unc_cache = self.uncertainty.forward(d_out)

@@ -163,8 +163,10 @@ def voxel_downsample(cloud, voxel: float) -> np.ndarray:
     cells = int(cell_of_sorted[-1]) + 1
     inverse = np.empty(len(pts), dtype=np.int64)
     inverse[order] = cell_of_sorted
-    sums = np.zeros((cells, 3))
-    np.add.at(sums, inverse, pts)
+    # One bincount pass per coordinate adds each cell's points in row order,
+    # starting from 0.0: the sums of a sequential loop over the rows.
+    sums = np.stack([np.bincount(inverse, weights=pts[:, j], minlength=cells)
+                     for j in range(3)], axis=1)
     counts = np.bincount(inverse, minlength=cells).astype(np.float64)
     return sums / counts[:, None]
 
@@ -271,6 +273,23 @@ def _sq_dists(q_cols: np.ndarray, t_cols: np.ndarray, lo: int = 0,
     return out
 
 
+def _select(d2: np.ndarray, k: int):
+    """Per row of the squared distances ``d2`` (rows, M), the positions and
+    distances of the k nearest, ordered by (distance, position)."""
+    # Order by (d2, index): argpartition picks k smallest, an index sort
+    # then a stable d2 sort orders them. Where the k-th d2 ties with an
+    # entry left out, the pick is arbitrary, so those rows sort in full.
+    picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(d2, picked[:, k - 1:], axis=1)
+    picked.sort(axis=1)
+    order = np.argsort(np.take_along_axis(d2, picked, axis=1), axis=1, kind="stable")
+    idx = np.take_along_axis(picked, order, axis=1)
+    tied = (d2 <= kth).sum(axis=1) > k
+    if tied.any():
+        idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+
+
 def _knn_brute(q_cols: np.ndarray, t_cols: np.ndarray, k: int):
     """K nearest columns of ``t_cols`` (D, M) for each column of ``q_cols``
     (D, B), scanning every target. Yields, per block of query columns, the
@@ -279,38 +298,88 @@ def _knn_brute(q_cols: np.ndarray, t_cols: np.ndarray, k: int):
     n, m = q_cols.shape[1], t_cols.shape[1]
     rows = max(1, _KNN_BLOCK_ENTRIES // m)
     for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        d2 = _sq_dists(q_cols[:, block], t_cols)
-        # Order by (d2, index): argpartition picks k smallest, an index sort
-        # then a stable d2 sort orders them. Where the k-th d2 ties with an
-        # entry left out, the pick is arbitrary, so those rows sort in full.
-        picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(d2, picked[:, k - 1:], axis=1)
-        picked.sort(axis=1)
-        order = np.argsort(np.take_along_axis(d2, picked, axis=1), axis=1, kind="stable")
-        idx = np.take_along_axis(picked, order, axis=1)
-        tied = (d2 <= kth).sum(axis=1) > k
-        if tied.any():
-            idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-        yield start, idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+        yield start, *_select(_sq_dists(q_cols[:, start:start + rows], t_cols), k)
+
+
+def _knn_bounded(queries: np.ndarray, targets: np.ndarray, k: int,
+                 slack: float, tiny: float):
+    """K nearest rows of ``targets`` (M, D) for each row of ``queries``
+    (N, D), with exact squared distances taken only for the targets a BLAS
+    bound lets reach the k nearest (see ``knn_search``). Yields, per block
+    of query rows, the block's first row and its (rows, k) target indices
+    and distances, ordered by (distance, index)."""
+    n, m = len(queries), len(targets)
+    width = queries.shape[1]
+    t_cols = np.ascontiguousarray(targets.T)
+    q_norms = np.einsum("ij,ij->i", queries, queries)
+    t_norms = np.einsum("ij,ij->i", targets, targets)
+    rel = 8.0 * (width + 4) * np.finfo(np.float64).eps
+    rows = max(1, _KNN_BLOCK_ENTRIES // m)
+    pairs = max(1, _KNN_BLOCK_ENTRIES // width)
+    for start in range(0, n, rows):
+        q = queries[start:start + rows]
+        # The expansion |q|^2 + |t|^2 - 2 q.t of every squared distance,
+        # less and plus its error bound rel * (|q|^2 + |t|^2).
+        lower = q @ t_cols
+        lower *= -2.0
+        err = q_norms[start:start + rows, None] + t_norms
+        lower += err
+        err *= rel
+        upper = lower + err
+        lower -= err
+        reach = np.partition(upper, k - 1, axis=1)[:, k - 1] * slack + tiny
+        bounded = (np.isfinite(reach) & np.isfinite(upper).all(axis=1)
+                   & np.isfinite(lower).all(axis=1))
+        r, c = np.nonzero((lower <= reach[:, None]) & bounded[:, None])
+        # Kept pairs get the exact distance, summed in numpy's pairwise
+        # order as _sq_dists sums it, a chunk of pairs at a time; the rest
+        # read +inf, above every row's k-th distance.
+        d2 = np.full(lower.shape, np.inf)
+        for lo in range(0, len(r), pairs):
+            rp, cp = r[lo:lo + pairs], c[lo:lo + pairs]
+            diff = q[rp] - targets[cp]
+            np.square(diff, out=diff)
+            d2[rp, cp] = diff.sum(axis=1)
+        if not bounded.all():
+            d2[~bounded] = _sq_dists(np.ascontiguousarray(q[~bounded].T), t_cols)
+        yield start, *_select(d2, k)
 
 
 def knn_search(queries, targets, k: int) -> NeighborSet:
     """K nearest targets per query (Euclidean), ties broken by lower index.
 
-    The queries are split in halves at the median of their widest axis,
-    recursively, and each half keeps only the targets that can hold the k
-    nearest of one of its queries. Take a half with box centre c and radius
-    r = max |q - c| over its queries, and let U be the k-th distance from c
-    among its parent's candidates. Every query q of the half has k targets
-    within U + |q - c|, so its k nearest lie within U + 2r of c; targets
-    farther than that are dropped, with a relative slack that covers the
-    rounding of every distance. A half stops splitting when its rows times
-    its candidates fit one ``_KNN_BLOCK_ENTRIES`` block, or when it kept
-    every candidate with r <= U: U then dominates the reach, so smaller
-    halves gain little (k near the target count, or queries far from the
-    targets). Then ``_knn_brute`` scans its candidates, kept in ascending
-    index order.
+    Queries of width 3 or less are split in halves at the median of their
+    widest axis, recursively, and each half keeps only the targets that can
+    hold the k nearest of one of its queries. Take a half with box centre c
+    and radius r = max |q - c| over its queries, and let U be the k-th
+    distance from c among its parent's candidates. Every query q of the half
+    has k targets within U + |q - c|, so its k nearest lie within U + 2r of
+    c; targets farther than that are dropped, with a relative slack that
+    covers the rounding of every distance. A half stops splitting when its
+    rows times its candidates fit one ``_KNN_BLOCK_ENTRIES`` block, or when
+    it kept every candidate with r <= U: U then dominates the reach, so
+    smaller halves gain little (k near the target count, or queries far
+    from the targets). Then ``_knn_brute`` scans its candidates, kept in
+    ascending index order.
+
+    Wider queries, such as 256-wide descriptors, find no such locality, so
+    they take a bounded scan (``_knn_bounded``) instead. One BLAS product
+    q @ t.T and the squared norms give, for every pair of a block of query
+    rows, a = |q|^2 + |t|^2 - 2 q.t. Each of its three dot products of D
+    terms errs by at most about D * eps / 2 times the sum of its terms'
+    magnitudes, and |q.t| <= (|q|^2 + |t|^2) / 2, so a lies within
+    (D + 2) * eps * (|q|^2 + |t|^2) of the exact squared distance s. The
+    scan takes e = 8 * (D + 4) * eps * (|q|^2 + |t|^2), so that the
+    rounded bounds a - e and a + e still hold s between them. Let U be a
+    row's k-th smallest a + e: k targets have s <= U, so the row's k-th
+    computed distance is at most U times the same relative slack as above.
+    A target whose a - e exceeds that reach is strictly farther and is
+    dropped; every other target gets its exact distance, and the dropped
+    ones read +inf in the row handed to the selection. Where products and
+    squares underflow, the absolute errors stay far below the smallest
+    normal number, which the reach adds. A row whose bounds are not all
+    finite (squares overflow from coordinates near 1e154) is scanned in
+    full.
 
     The result equals a scan of every target bit for bit: a pair's squared
     distance is summed the same way whatever the other targets are, and a
@@ -329,11 +398,6 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
     if not (np.isfinite(queries).all() and np.isfinite(targets).all()):
         raise ValueError("queries and targets must be finite")
     n, width = queries.shape
-    t_all = np.ascontiguousarray(targets.T)
-    # A copy of the query columns, reordered in place as halves split, so
-    # that every half is a contiguous range; order[i] is column i's query.
-    q_cols = queries.T.copy()
-    order = np.arange(n)
     indices = np.empty((n, k), dtype=np.int64)
     dists = np.empty((n, k))
     # Relative slack on the reach: every computed squared distance is within
@@ -341,6 +405,16 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
     # error below the smallest normal number where it underflows.
     slack = 1.0 + 8.0 * (width + 4) * np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).tiny
+    if width > 3:
+        for start, idx, dist in _knn_bounded(queries, targets, k, slack, tiny):
+            indices[start:start + len(idx)] = idx
+            dists[start:start + len(idx)] = dist
+        return NeighborSet(indices, dists)
+    t_all = np.ascontiguousarray(targets.T)
+    # A copy of the query columns, reordered in place as halves split, so
+    # that every half is a contiguous range; order[i] is column i's query.
+    q_cols = queries.T.copy()
+    order = np.arange(n)
     # Halves to solve: (first column, end column, candidates, split further?).
     todo = [(0, n, np.arange(len(targets)), True)]
     while todo:

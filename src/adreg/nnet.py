@@ -345,20 +345,21 @@ class CBR:
             out, bn_cache = self.bn.forward(z, train)
             np.maximum(out, 0.0, out=out)
             return out, (lin_cache, bn_cache, out)
-        # Eval-mode batch norm is affine, so it folds into the linear map:
-        # one product instead of five passes over the (N, out) output. The
-        # fold is O(out * in) and redone per call, so it never goes stale.
         self.lin.check_input(x)
+        return _folded_cbrs(x, [self.fold()]), None
+
+    def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The eval-mode block as ``(w, scale, b)``: its output is
+        ``relu(x @ (w * scale[:, None]).T + b)``. Eval-mode batch norm is
+        affine, so it folds into the linear map: one product instead of
+        five passes over the (N, out) output. The per-channel part is
+        computed here from the current parameters and running statistics;
+        ``forward`` redoes it on every call, and a backbone layer's eval
+        pass once per layer call, so it never goes stale."""
         bn = self.bn
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
-        w = self.lin.w.value * scale[:, None]
-        b = (self.lin.b.value - bn.running_mean) * scale + bn.beta.value
-        # relu(x @ w.T + b), computed in place in the product's buffer.
-        out = x @ w.T
-        out += b
-        _check_finite(out, "batchnorm output")
-        np.maximum(out, 0.0, out=out)
-        return out, None
+        return (self.lin.w.value, scale,
+                (self.lin.b.value - bn.running_mean) * scale + bn.beta.value)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         lin_cache, bn_cache, out = cache
@@ -373,6 +374,43 @@ class CBR:
         yield from self.bn.named_buffers(f"{prefix}.bn")
 
 
+def _folded_cbrs(x: np.ndarray, folds, checked: bool = True) -> np.ndarray:
+    """``x`` through eval-mode CBR blocks given by their ``CBR.fold``:
+    ``relu(x @ (w * scale[:, None]).T + b)`` per block, computed in place in
+    the product's buffer, so ``x`` itself is not written. The weights are
+    scaled here, per call, so that a caller running many row blocks holds
+    only the per-channel vectors between them, not a scaled copy of every
+    weight (about 1 MB per cloud in the full backbone's third layer).
+    ``checked=False`` skips the finiteness checks, for a caller that has
+    shown with ``folds_stay_finite`` that they cannot fire."""
+    for w, scale, b in folds:
+        x = x @ (w * scale[:, None]).T
+        x += b
+        if checked:
+            _check_finite(x, "batchnorm output")
+        np.maximum(x, 0.0, out=x)
+    return x
+
+
+def folds_stay_finite(folds, bound: float, rows: int) -> bool:
+    """Whether ``_folded_cbrs`` over ``folds``, on any ``rows`` input rows
+    whose entries are at most ``bound`` in magnitude, makes only finite
+    outputs with finite sums, so that its finiteness checks cannot fire.
+    A block's outputs are at most bound * max_j |scale_j| * sum_k |w_jk| +
+    max |b| in exact arithmetic, and the ReLU keeps that bound; doubling it
+    per block covers the rounding of the product, the bias and this
+    estimate, and the sums of rows * width such entries must stay below
+    2**1020, a sixteenth of the largest float. A non-finite ``bound``
+    gives False."""
+    for w, scale, b in folds:
+        with np.errstate(over="ignore"):
+            gain = float((np.abs(w).sum(axis=1) * np.abs(scale)).max())
+        bound = 2.0 * (bound * gain + float(np.abs(b).max()))
+        if not rows * len(b) * bound < 2.0 ** 1020:
+            return False
+    return True
+
+
 class CBRStack:
     """A chain of CBR blocks, optionally followed by a linear head."""
 
@@ -385,6 +423,8 @@ class CBRStack:
         self.head = Linear(prev, head_dim, rng) if head_dim is not None else None
 
     def forward(self, x: np.ndarray, train: bool):
+        if not train:
+            return self.forward_folded(x, self.fold()), None
         caches = []
         for block in self.blocks:
             x, c = block.forward(x, train)
@@ -392,7 +432,23 @@ class CBRStack:
         if self.head is not None:
             x, c = self.head.forward(x)
             caches.append(c)
-        return x, caches if train else None
+        return x, caches
+
+    def fold(self) -> list:
+        """Each block's eval-mode ``CBR.fold``, for ``forward_folded``."""
+        return [block.fold() for block in self.blocks]
+
+    def forward_folded(self, x: np.ndarray, folds: list,
+                       checked: bool = True) -> np.ndarray:
+        """The eval-mode output for ``x``, given the blocks' ``fold``: a
+        caller that runs many row blocks folds once for all of them.
+        ``checked`` is ``_folded_cbrs``'s; the head always checks."""
+        if self.blocks:
+            self.blocks[0].lin.check_input(x)
+        x = _folded_cbrs(x, folds, checked)
+        if self.head is not None:
+            x, _ = self.head.forward(x)
+        return x
 
     def backward(self, caches: list, grad_out: np.ndarray) -> np.ndarray:
         """The input gradient, from the list ``forward`` returned. It serves

@@ -1,7 +1,10 @@
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreg import backbone as bb
 from adreg import nnet
@@ -156,6 +159,120 @@ class TestBlockedForward:
                             (stack.blocks[0], x), (stack, x)):
             assert module.forward(arg, train=False)[1] is None
             assert module.forward(arg, train=True)[1] is not None
+
+
+def per_block_reference(layer, pts, feats, unc, plan):
+    """The eval-mode layer pass computed as each row block once did it:
+    every CBR's batch norm folded anew, the member rows built from three
+    gathers and a concatenate, and the detector and descriptor stacks run
+    one after the other."""
+    def stack(cbr_stack, x):
+        for block in cbr_stack.blocks:
+            bn = block.bn
+            scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
+            w = block.lin.w.value * scale[:, None]
+            b = (block.lin.b.value - bn.running_mean) * scale + bn.beta.value
+            x = x @ w.T
+            x += b
+            np.maximum(x, 0.0, out=x)
+        if cbr_stack.head is not None:
+            x = x @ cbr_stack.head.w.value.T
+            x += cbr_stack.head.b.value
+        return x
+
+    n_out, k = plan.groups.shape
+    widest = max(3 + layer.in_feat_dim + 1, *layer.cfg.widths)
+    rows = max(1, bb._FORWARD_BLOCK_ENTRIES // (k * widest))
+    p_out = np.empty((n_out, 3))
+    d_out = np.empty((n_out, layer.out_dim))
+    for start in range(0, n_out, rows):
+        block = slice(start, start + rows)
+        groups = plan.groups[block]
+        n = len(groups)
+        member_pts = pts[groups]
+        rel = member_pts - pts[plan.selected[block]][:, None, :]
+        x = np.concatenate(
+            [rel.reshape(n * k, 3),
+             feats[groups].reshape(n * k, -1),
+             unc[groups].reshape(n * k, 1)], axis=1)
+        w = nnet.softmax_rows(stack(layer.detector, x).reshape(n, k))
+        desc_feat = stack(layer.descriptor, x).reshape(n, k, layer.out_dim)
+        p_out[block], d_out[block] = nnet.fuse_candidates(w, member_pts, desc_feat)
+    u_out, _ = layer.uncertainty.forward(d_out)
+    return p_out, d_out, u_out
+
+
+class TestFoldedEvalPass:
+    """The eval pass folds once per call and gathers by flat takes; neither
+    may move a bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_block_formula_bit_for_bit(self, data):
+        in_dim = data.draw(st.integers(1, 40), label="feature width")
+        k = data.draw(st.integers(1, 12), label="K")
+        n_out = data.draw(st.integers(1, 40), label="n_out")
+        widths = tuple(data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=3),
+                                 label="widths"))
+        n_in = data.draw(st.integers(max(n_out, k), 90), label="n_in")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layer = bb.DetectorDescriptorLayer(in_dim, bb.LayerConfig(n_out, k, widths), rng)
+        # Batch norms away from the identity, so that the fold matters.
+        for stack in (layer.detector, layer.descriptor):
+            for block in stack.blocks:
+                dim = block.bn.gamma.value.size
+                block.bn.gamma.value[:] = rng.uniform(0.5, 2.0, size=dim)
+                block.bn.beta.value[:] = rng.normal(size=dim)
+                block.bn.running_mean = rng.normal(size=dim)
+                block.bn.running_var = rng.uniform(0.1, 3.0, size=dim)
+        pts = rng.normal(size=(n_in, 3)) * 5.0
+        feats = rng.normal(size=(n_in, in_dim))
+        unc = rng.uniform(size=n_in)
+        plan = bb.LayerPlan(rng.choice(n_in, n_out, replace=False),
+                            rng.integers(0, n_in, size=(n_out, k)))
+        # One-row blocks, or blocks of r rows with a partial last block
+        # whenever r does not divide n_out.
+        widest = max(3 + in_dim + 1, *widths)
+        entries = data.draw(st.one_of(st.just(1), st.integers(1, n_out).map(
+            lambda r: r * k * widest)), label="block entries")
+        with mock.patch.object(bb, "_FORWARD_BLOCK_ENTRIES", entries):
+            *got, cache = layer.forward(pts, feats, unc, plan, train=False)
+            want = per_block_reference(layer, pts, feats, unc, plan)
+        assert cache is None
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", ["overflow", "nan"])
+    def test_checks_stay_on_when_no_bound_holds(self, case):
+        # Products that overflow, and a NaN input, still raise where the
+        # batch-norm outputs are checked.
+        rng = np.random.default_rng(42)
+        layer = bb.DetectorDescriptorLayer(4, bb.LayerConfig(8, 4, (8, 8, 8)), rng)
+        pts = rng.normal(size=(20, 3))
+        feats = rng.normal(size=(20, 4))
+        if case == "overflow":
+            layer.detector.blocks[0].lin.w.value[:] = 1e308
+        else:
+            feats[:, 1] = np.nan
+        plan = layer.plan(pts, np.full(20, 0.5), seed=0, weighted=False)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="batchnorm output"):
+            layer.forward(pts, feats, np.full(20, 0.5), plan, train=False)
+
+    def test_full_scale_layers_match_the_per_block_formula(self):
+        rng = np.random.default_rng(40)
+        net = bb.Backbone(np.random.default_rng(41), scale=1.0)
+        cloud = make_cloud(rng, 4096)
+        pts = cloud
+        feats, _ = net.lift.forward(cloud)
+        unc = np.full(len(cloud), bb.INITIAL_UNCERTAINTY)
+        for i, layer in enumerate(net.layers):
+            plan = layer.plan(pts, unc, seed=0, weighted=i > 0)
+            *got, _ = layer.forward(pts, feats, unc, plan, train=False)
+            want = per_block_reference(layer, pts, feats, unc, plan)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), f"layer {i + 1}"
+            pts, feats, unc = got
 
 
 class TestBackboneGradients:

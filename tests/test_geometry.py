@@ -473,6 +473,73 @@ class TestKnnSearch:
         np.testing.assert_array_equal(ns.indices, want_idx)
         np.testing.assert_array_equal(ns.distances, want_dist)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bounded_scan_matches_oracle_property(self, data):
+        # Queries wider than 3 take the bounded scan.
+        width = data.draw(st.integers(4, 300), label="width")
+        layout = data.draw(st.sampled_from(["normal", "integer", "duplicates", "huge"]),
+                           label="layout")
+        n_t = data.draw(st.integers(1, 30), label="targets")
+        n_q = data.draw(st.integers(1, 20), label="queries")
+        k = data.draw(st.one_of(st.just(n_t), st.integers(1, n_t)), label="k")
+        entries = data.draw(st.sampled_from([16, geo._KNN_BLOCK_ENTRIES]), label="entries")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if layout == "integer":
+            # Small integers: exact ties at the k-th distance are common.
+            targets = rng.integers(-2, 3, size=(n_t, width)).astype(float)
+            queries = rng.integers(-2, 3, size=(n_q, width)).astype(float)
+        elif layout == "duplicates":
+            base = rng.normal(size=(max(1, n_t // 4), width))
+            targets = base[rng.integers(0, len(base), n_t)]
+            queries = base[rng.integers(0, len(base), n_q)]
+        else:
+            targets = rng.normal(size=(n_t, width))
+            queries = rng.normal(size=(n_q, width))
+        if layout == "huge":
+            # Squared norms overflow for these rows; the others keep
+            # finite bounds unless a target row overflows too.
+            queries[rng.random(n_q) < 0.5] *= 1e155
+            targets[rng.random(n_t) < 0.2] *= 1e155
+            # A query at a target: distance 0 however large the norms.
+            queries[0] = targets[rng.integers(n_t)]
+        before = queries.copy(), targets.copy()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(geo, "_KNN_BLOCK_ENTRIES", entries):
+            ns = geo.knn_search(queries, targets, k)
+            want_idx, want_dist = knn_oracle(queries, targets, k)
+        np.testing.assert_array_equal(queries, before[0])
+        np.testing.assert_array_equal(targets, before[1])
+        assert ns.indices.tobytes() == want_idx.tobytes()
+        assert ns.distances.tobytes() == want_dist.tobytes()
+
+    def test_norm_overflowing_for_one_target_scans_the_row(self):
+        # |q|^2 is finite and |t0|^2 overflows, yet q is far nearer to t0
+        # than to t1: a row with any non-finite bound is scanned in full.
+        queries = np.array([[1.3e154, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        targets = np.array([[0.0, 0.0, 0.0, 0.0], [1.35e154, 0.0, 0.0, 0.0],
+                            [1.0, 2.0, 3.0, 5.0]])
+        for k in (1, 2, 3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                ns = geo.knn_search(queries, targets, k)
+                want_idx, want_dist = knn_oracle(queries, targets, k)
+            assert ns.indices[0, 0] == 1
+            np.testing.assert_array_equal(ns.indices, want_idx)
+            np.testing.assert_array_equal(ns.distances, want_dist)
+
+    def test_descriptor_rows_need_no_full_scan(self):
+        # Rows like the coarse stage's 256-wide descriptors: every bound is
+        # finite, so no row falls back to scanning every target.
+        rng = np.random.default_rng(22)
+        centres = np.maximum(rng.normal(size=(40, 256)), 0.0)
+        targets = centres[rng.integers(0, 40, 256)] + 0.1 * rng.normal(size=(256, 256))
+        queries = targets[rng.permutation(256)[:252]] + 0.05 * rng.normal(size=(252, 256))
+        with mock.patch.object(geo, "_sq_dists", side_effect=AssertionError("full scan")):
+            ns = geo.knn_search(queries, targets, 3)
+        want_idx, want_dist = knn_oracle(queries, targets, 3)
+        assert ns.indices.tobytes() == want_idx.tobytes()
+        assert ns.distances.tobytes() == want_dist.tobytes()
+
     def test_full_scale_layer_one_matches_the_whole_row_scan(self):
         config = RunConfig(backbone_scale=1.0)
         pair = training.gen_synthetic_pair(np.random.default_rng(21), 60_000,

@@ -463,6 +463,48 @@ class TestStacks:
                 pytest.raises(FloatingPointError, match="batchnorm output"):
             block.forward(x, train=False)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_folds_stay_finite_only_when_no_check_can_fire(self, data):
+        # Weights, running variances and inputs across many magnitudes:
+        # wherever the bound says the checks cannot fire, the checked pass
+        # must not raise; it must also say so for ordinary magnitudes.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        widths = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+        in_dim = data.draw(st.integers(1, 5))
+        stack = nnet.CBRStack(in_dim, widths, None, rng)
+        for block in stack.blocks:
+            block.lin.w.value *= 10.0 ** data.draw(st.integers(-5, 150))
+            block.bn.running_var = rng.uniform(1e-12, 1.0, size=block.bn.running_var.size)
+        bound = 10.0 ** data.draw(st.integers(-5, 200))
+        rows = data.draw(st.integers(1, 8))
+        x = rng.uniform(-bound, bound, size=(rows, in_dim))
+        x[rng.random(x.shape) < 0.3] = bound
+        folds = stack.fold()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if nnet.folds_stay_finite(folds, bound, rows):
+                nnet._folded_cbrs(x, folds)
+
+    def test_folds_stay_finite_is_sound_at_its_edge(self):
+        # At the largest power-of-two input bound it accepts, inputs at that
+        # bound that follow the signs of the first block's weights must
+        # still pass every check.
+        rng = np.random.default_rng(22)
+        folds = self.eval_stack(rng).fold()
+        rows = 8
+        edge = max(e for e in range(-200, 1024)
+                   if nnet.folds_stay_finite(folds, 2.0 ** e, rows))
+        w, scale, _ = folds[0]
+        x = 2.0 ** edge * np.sign(w * scale[:, None])[np.arange(rows) % len(scale)]
+        nnet._folded_cbrs(x, folds)
+
+    def test_folds_stay_finite_holds_for_ordinary_magnitudes(self):
+        rng = np.random.default_rng(21)
+        folds = self.eval_stack(rng).fold()
+        assert nnet.folds_stay_finite(folds, 1e6, 1 << 16)
+        for bound in (1e300, np.inf, np.nan):
+            assert not nnet.folds_stay_finite(folds, bound, 1 << 16)
+
     def test_cbr_backward_from_relu_output_matches_pre_activation_mask(self):
         # The cache keeps relu(pre), not pre. With gamma = beta = 0,
         # channel 0's pre-activation is exactly zero; the mask built from
