@@ -375,8 +375,8 @@ def purified_candidates(src_coarse: FeatureSet, tgt_coarse: FeatureSet, *,
 
 def coarse_register(src_out: BackboneOutput, tgt_out: BackboneOutput,
                     predictor: nnet.CBRStack, confidence: nnet.MLP,
-                    *, gmm_components: int = 8, bgmm_topk: int = 2,
-                    candidates: int = 3, seed: int = 0):
+                    *, gmm_components: int, bgmm_topk: int,
+                    candidates: int, seed: int):
     """The coarse stage after the two eval-mode backbone forwards: the
     purified candidates, then the coarse head.
 

@@ -29,13 +29,13 @@ ORTHONORMAL_TOL = 1e-9
 _KNN_BLOCK_ENTRIES = 1 << 16
 
 
-def as_points(points, dim: int = 3) -> np.ndarray:
-    """Coerce to an (N, dim) float64 array and reject non-finite entries."""
+def as_points(points) -> np.ndarray:
+    """Coerce to an (N, 3) float64 array and reject non-finite entries."""
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1 and arr.size == 0:
-        arr = arr.reshape(0, dim)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"expected an (N, {dim}) array, got shape {arr.shape}")
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
         raise ValueError("point array contains NaN or infinite coordinates")
     return arr
@@ -229,48 +229,23 @@ def farthest_point_sample(cloud, n: int, weights=None, seed: int = 0) -> np.ndar
     return chosen
 
 
-def _sq_dists(q_cols: np.ndarray, t_cols: np.ndarray, lo: int = 0,
-              n: int | None = None) -> np.ndarray:
+def _sq_dists(q_cols: np.ndarray, t_cols: np.ndarray) -> np.ndarray:
     """Squared distances between the columns of ``q_cols`` (D, B) and
-    ``t_cols`` (D, M), as a (B, M) array, summed over rows ``lo:lo+n``.
+    ``t_cols`` (D, M), as a (B, M) array.
 
-    The rows are added one (B, M) pass at a time in numpy's pairwise
-    summation order, so the result equals
+    The rows are added left to right, one (B, M) pass at a time. Its
+    callers pass one to three rows, which numpy's pairwise summation also
+    adds left to right, so the result equals
     ``((q[:, None, :] - t[None, :, :]) ** 2).sum(-1)`` bit for bit without
-    the (B, M, D) temporary. Below eight rows that order is left to right.
+    the (B, M, D) temporary.
     """
-    if n is None:
-        n = len(q_cols)
-    shape = (q_cols.shape[1], t_cols.shape[1])
-    scratch = np.empty(shape) if n > 1 else None
-
-    def sq(c, out):
-        np.subtract(q_cols[c, :, None], t_cols[c], out=out)
-        return np.square(out, out=out)
-
-    if n < 8:
-        acc = sq(lo, np.empty(shape))
-        for c in range(lo + 1, lo + n):
-            acc += sq(c, scratch)
-        return acc
-    if n <= 128:
-        acc = [sq(lo + j, np.empty(shape)) for j in range(8)]
-        blocked = n - n % 8
-        for base in range(lo + 8, lo + blocked, 8):
-            for j in range(8):
-                acc[j] += sq(base + j, scratch)
-        # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), in place.
-        for step in (1, 2, 4):
-            for j in range(0, 8, 2 * step):
-                acc[j] += acc[j + step]
-        out = acc[0]
-        for c in range(lo + blocked, lo + n):
-            out += sq(c, scratch)
-        return out
-    half = n // 2 - (n // 2) % 8
-    out = _sq_dists(q_cols, t_cols, lo, half)
-    out += _sq_dists(q_cols, t_cols, lo + half, n - half)
-    return out
+    acc = np.subtract(q_cols[0, :, None], t_cols[0])
+    np.square(acc, out=acc)
+    scratch = np.empty_like(acc)
+    for c in range(1, len(q_cols)):
+        np.subtract(q_cols[c, :, None], t_cols[c], out=scratch)
+        acc += np.square(scratch, out=scratch)
+    return acc
 
 
 def _select(d2: np.ndarray, k: int):
@@ -292,22 +267,25 @@ def _select(d2: np.ndarray, k: int):
 
 def _knn_brute(q_cols: np.ndarray, t_cols: np.ndarray, k: int):
     """K nearest columns of ``t_cols`` (D, M) for each column of ``q_cols``
-    (D, B), scanning every target. Yields, per block of query columns, the
-    block's first column and its (rows, k) target positions and distances,
-    ordered by (distance, position)."""
+    (D, N), scanning every target a block of query columns at a time.
+    Returns their (N, k) positions and distances, ordered by (distance,
+    position)."""
     n, m = q_cols.shape[1], t_cols.shape[1]
     rows = max(1, _KNN_BLOCK_ENTRIES // m)
+    idx = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
     for start in range(0, n, rows):
-        yield start, *_select(_sq_dists(q_cols[:, start:start + rows], t_cols), k)
+        block = slice(start, start + rows)
+        idx[block], dist[block] = _select(_sq_dists(q_cols[:, block], t_cols), k)
+    return idx, dist
 
 
 def _knn_bounded(queries: np.ndarray, targets: np.ndarray, k: int,
                  slack: float, tiny: float):
     """K nearest rows of ``targets`` (M, D) for each row of ``queries``
     (N, D), with exact squared distances taken only for the targets a BLAS
-    bound lets reach the k nearest (see ``knn_search``). Yields, per block
-    of query rows, the block's first row and its (rows, k) target indices
-    and distances, ordered by (distance, index)."""
+    bound lets reach the k nearest (see ``knn_search``). Returns their
+    (N, k) indices and distances, ordered by (distance, index)."""
     n, m = len(queries), len(targets)
     width = queries.shape[1]
     t_cols = np.ascontiguousarray(targets.T)
@@ -316,13 +294,16 @@ def _knn_bounded(queries: np.ndarray, targets: np.ndarray, k: int,
     rel = 8.0 * (width + 4) * np.finfo(np.float64).eps
     rows = max(1, _KNN_BLOCK_ENTRIES // m)
     pairs = max(1, _KNN_BLOCK_ENTRIES // width)
+    idx = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
     for start in range(0, n, rows):
-        q = queries[start:start + rows]
+        block = slice(start, start + rows)
+        q = queries[block]
         # The expansion |q|^2 + |t|^2 - 2 q.t of every squared distance,
         # less and plus its error bound rel * (|q|^2 + |t|^2).
         lower = q @ t_cols
         lower *= -2.0
-        err = q_norms[start:start + rows, None] + t_norms
+        err = q_norms[block, None] + t_norms
         lower += err
         err *= rel
         upper = lower + err
@@ -330,19 +311,18 @@ def _knn_bounded(queries: np.ndarray, targets: np.ndarray, k: int,
         reach = np.partition(upper, k - 1, axis=1)[:, k - 1] * slack + tiny
         bounded = (np.isfinite(reach) & np.isfinite(upper).all(axis=1)
                    & np.isfinite(lower).all(axis=1))
-        r, c = np.nonzero((lower <= reach[:, None]) & bounded[:, None])
+        r, c = np.nonzero((lower <= reach[:, None]) | ~bounded[:, None])
         # Kept pairs get the exact distance, summed in numpy's pairwise
-        # order as _sq_dists sums it, a chunk of pairs at a time; the rest
-        # read +inf, above every row's k-th distance.
+        # order, a chunk of pairs at a time; the rest read +inf, above
+        # every row's k-th distance.
         d2 = np.full(lower.shape, np.inf)
         for lo in range(0, len(r), pairs):
             rp, cp = r[lo:lo + pairs], c[lo:lo + pairs]
             diff = q[rp] - targets[cp]
             np.square(diff, out=diff)
             d2[rp, cp] = diff.sum(axis=1)
-        if not bounded.all():
-            d2[~bounded] = _sq_dists(np.ascontiguousarray(q[~bounded].T), t_cols)
-        yield start, *_select(d2, k)
+        idx[block], dist[block] = _select(d2, k)
+    return idx, dist
 
 
 def knn_search(queries, targets, k: int) -> NeighborSet:
@@ -378,8 +358,8 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
     ones read +inf in the row handed to the selection. Where products and
     squares underflow, the absolute errors stay far below the smallest
     normal number, which the reach adds. A row whose bounds are not all
-    finite (squares overflow from coordinates near 1e154) is scanned in
-    full.
+    finite (squares overflow from coordinates near 1e154) keeps every
+    target.
 
     The result equals a scan of every target bit for bit: a pair's squared
     distance is summed the same way whatever the other targets are, and a
@@ -398,18 +378,15 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
     if not (np.isfinite(queries).all() and np.isfinite(targets).all()):
         raise ValueError("queries and targets must be finite")
     n, width = queries.shape
-    indices = np.empty((n, k), dtype=np.int64)
-    dists = np.empty((n, k))
     # Relative slack on the reach: every computed squared distance is within
     # (width + 2) * eps / 2 of the true one, relative, plus an absolute
     # error below the smallest normal number where it underflows.
     slack = 1.0 + 8.0 * (width + 4) * np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).tiny
     if width > 3:
-        for start, idx, dist in _knn_bounded(queries, targets, k, slack, tiny):
-            indices[start:start + len(idx)] = idx
-            dists[start:start + len(idx)] = dist
-        return NeighborSet(indices, dists)
+        return NeighborSet(*_knn_bounded(queries, targets, k, slack, tiny))
+    indices = np.empty((n, k), dtype=np.int64)
+    dists = np.empty((n, k))
     t_all = np.ascontiguousarray(targets.T)
     # A copy of the query columns, reordered in place as halves split, so
     # that every half is a contiguous range; order[i] is column i's query.
@@ -424,10 +401,8 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
         whole = len(cand) == len(targets)
         t_cols = t_all if whole else np.take(t_all, cand, axis=1)
         if not split or hi - lo == 1 or (hi - lo) * len(cand) <= _KNN_BLOCK_ENTRIES:
-            for start, idx, dist in _knn_brute(q, t_cols, k):
-                rows = order[lo + start:lo + start + len(idx)]
-                indices[rows] = idx if whole else cand[idx]
-                dists[rows] = dist
+            idx, dists[order[lo:hi]] = _knn_brute(q, t_cols, k)
+            indices[order[lo:hi]] = idx if whole else cand[idx]
             continue
         mid = (hi - lo) // 2
         halves = np.argpartition(q[np.argmax(np.ptp(q, axis=1))], mid)

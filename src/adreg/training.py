@@ -651,9 +651,10 @@ def train(config: RunConfig, data_dir=None, log_path=None,
             seen += used
 
         val_rte, val_rre = _validate(model, val_pairs)
-        denom = max(seen, 1)
-        logs.append(EpochLog(epoch, sums["trans"] / denom, sums["rot"] / denom,
-                             sums["diff"] / denom, val_rte, val_rre))
+        # An epoch that skipped every sample has no mean loss: NaN, as
+        # _validate reports when no pair registers.
+        means = [v / seen if seen else float("nan") for v in sums.values()]
+        logs.append(EpochLog(epoch, *means, val_rte, val_rre))
         last_good = model.to_checkpoint()
         if progress:
             log = logs[-1]

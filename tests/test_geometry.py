@@ -529,13 +529,20 @@ class TestKnnSearch:
 
     def test_descriptor_rows_need_no_full_scan(self):
         # Rows like the coarse stage's 256-wide descriptors: every bound is
-        # finite, so no row falls back to scanning every target.
+        # finite, so every row drops some targets, which read +inf.
         rng = np.random.default_rng(22)
         centres = np.maximum(rng.normal(size=(40, 256)), 0.0)
         targets = centres[rng.integers(0, 40, 256)] + 0.1 * rng.normal(size=(256, 256))
         queries = targets[rng.permutation(256)[:252]] + 0.05 * rng.normal(size=(252, 256))
-        with mock.patch.object(geo, "_sq_dists", side_effect=AssertionError("full scan")):
+        select = geo._select
+
+        def select_dropped(d2, k):
+            assert (d2 == np.inf).any(axis=1).all(), "a row kept every target"
+            return select(d2, k)
+
+        with mock.patch.object(geo, "_select", side_effect=select_dropped) as spy:
             ns = geo.knn_search(queries, targets, 3)
+        assert spy.called
         want_idx, want_dist = knn_oracle(queries, targets, 3)
         assert ns.indices.tobytes() == want_idx.tobytes()
         assert ns.distances.tobytes() == want_dist.tobytes()
@@ -553,6 +560,20 @@ class TestKnnSearch:
         want_idx, want_dist = whole_row_knn(queries, pts, layer.k_group)
         assert ns.indices.tobytes() == want_idx.tobytes()
         assert ns.distances.tobytes() == want_dist.tobytes()
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("n_q, n_t", [(1, 1), (1, 17), (9, 1), (13, 21)])
+    def test_matches_the_summed_squared_differences(self, width, n_q, n_t):
+        rng = np.random.default_rng(100 * width + 10 * n_q + n_t)
+        # Magnitudes spread over six decades, so the order of the adds shows.
+        q = rng.normal(size=(n_q, width)) * 10.0 ** rng.uniform(-3, 3, (n_q, width))
+        t = rng.normal(size=(n_t, width)) * 10.0 ** rng.uniform(-3, 3, (n_t, width))
+        want = ((q[:, None, :] - t[None]) ** 2).sum(-1)
+        got = geo._sq_dists(np.ascontiguousarray(q.T), np.ascontiguousarray(t.T))
+        assert got.shape == (n_q, n_t)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRandomRigidTransform:

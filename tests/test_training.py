@@ -329,6 +329,15 @@ class TestTrainLoop:
         assert len(text) == 2
         assert len(result.logs) == 1
 
+    def test_epoch_that_skips_every_sample_logs_nan_losses(self, monkeypatch):
+        monkeypatch.setattr(training, "_train_sample", lambda *args, **kwargs: None)
+        cfg = tiny_config(epochs=1, train_pairs=2)
+        result = training.train(cfg)
+        assert not result.aborted
+        assert result.skipped_samples == cfg.train_pairs
+        (log,) = result.logs
+        assert np.isnan([log.loss_trans, log.loss_rot, log.loss_diff]).all()
+
     @staticmethod
     def write_pairs(path, count):
         cfg = tiny_config()
