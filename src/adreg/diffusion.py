@@ -143,11 +143,11 @@ def build_gt_correspondence(src_pts: np.ndarray, tgt_pts: np.ndarray,
 # Time conditioning
 
 
-def time_embedding(t: int, n_steps: int, dim: int = TIME_EMBED_DIM) -> np.ndarray:
+def time_embedding(t: int, n_steps: int) -> np.ndarray:
     """Sinusoidal embedding of t / T at geometric frequencies."""
     frac = t / n_steps
-    freqs = np.pi * 2.0 ** np.arange(dim // 2)
-    emb = np.empty(dim)
+    freqs = np.pi * 2.0 ** np.arange(TIME_EMBED_DIM // 2)
+    emb = np.empty(TIME_EMBED_DIM)
     emb[0::2] = np.sin(freqs * frac)
     emb[1::2] = np.cos(freqs * frac)
     return emb
@@ -284,12 +284,12 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
     warped = apply_transform(coarse_tf, src_pts)
     cand_idx = knn_search(warped, tgt_pts, k).indices
     f_d, _ = descriptor_features(fine_src, fine_tgt, cand_idx, with_similarity=False)
-    f_g, _ = geometric_features(warped, tgt_pts, cand_idx)
 
     c_t = rng.standard_normal(size=(len(src_pts), k))
     timesteps = ddim_timesteps(schedule.n_steps, steps)
     trace: list[TraceRow] = []
     for t, t_prev in zip(timesteps[:-1], timesteps[1:]):
+        f_g, _ = geometric_features(warped, tgt_pts, cand_idx)
         if denoise_fn is not None:
             c0_hat = denoise_fn(c_t, int(t), f_g, f_d)
         else:
@@ -308,7 +308,6 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
             raise DegeneracyError(f"fine step t={int(t)}: {exc}") from exc
         buffer.push(step_tf)
         warped = apply_transform(buffer.final, src_pts)
-        f_g, _ = geometric_features(warped, tgt_pts, cand_idx)
         rte, rre = (transform_errors(buffer.final, gt) if gt is not None
                     else (float("nan"), float("nan")))
         trace.append(TraceRow(int(t), rte, rre, float(np.abs(c0_hat).mean())))

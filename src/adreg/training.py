@@ -299,9 +299,6 @@ def preprocess_cloud(cloud, config: RunConfig, seed: int) -> np.ndarray:
 class StepContext:
     """Discrete decisions frozen for one training step."""
 
-    gt: RigidTransform
-    src_plans: tuple
-    tgt_plans: tuple
     src_mask: np.ndarray
     tgt_mask: np.ndarray
     coarse_cand_idx: np.ndarray
@@ -337,27 +334,21 @@ def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     return src_result, tgt_result
 
 
-def _backbone_forwards(model: RegistrationModel, pair: SyntheticPair, train: bool,
-                       plans: tuple = (None, None)):
-    """Both clouds' backbone forwards, run at once by ``on_both_sides``.
-    ``plans`` holds each side's sampling plans, or None to compute them."""
-    def forward(cloud, cloud_plans):
-        return model.backbone.forward(cloud, seed=model.config.seed, train=train,
-                                      plans=cloud_plans)
-
-    return on_both_sides(forward, (pair.source, plans[0]), (pair.target, plans[1]))
-
-
 def make_step_context(model: RegistrationModel, pair: SyntheticPair,
                       rng: np.random.Generator):
-    """Fix plans, masks, candidates, supervision, and the noise draw.
+    """Run the step's two train-mode backbone forwards, at once through
+    ``on_both_sides``, and fix masks, candidates, supervision and the noise
+    draw from them.
 
-    Returns (context, src_backbone_out, tgt_backbone_out). The two train-mode
-    backbone forwards run at once (``_backbone_forwards``); their outputs
-    carry caches so one training step can reuse this forward pass.
+    Returns (context, src_backbone_out, tgt_backbone_out). The outputs carry
+    the caches that the step's one ``training_loss`` call consumes.
     """
     cfg = model.config
-    src_out, tgt_out = _backbone_forwards(model, pair, train=True)
+
+    def forward(cloud):
+        return model.backbone.forward(cloud, seed=cfg.seed, train=True)
+
+    src_out, tgt_out = on_both_sides(forward, (pair.source,), (pair.target,))
     _, _, (src_mask, tgt_mask), coarse_cand = purified_candidates(
         src_out.coarse, tgt_out.coarse, gmm_components=cfg.gmm_components,
         bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
@@ -368,46 +359,41 @@ def make_step_context(model: RegistrationModel, pair: SyntheticPair,
     t = int(rng.integers(1, cfg.diffusion_steps + 1))
     eps = rng.standard_normal(size=c_gt.shape)
     c_t = diffusion.q_sample(model.schedule, c_gt, t, eps)
-    ctx = StepContext(pair.transform, src_out.plans, tgt_out.plans,
-                      src_mask, tgt_mask, coarse_cand, fine_neighbors.indices,
+    ctx = StepContext(src_mask, tgt_mask, coarse_cand, fine_neighbors.indices,
                       c_gt, t, c_t)
     return ctx, src_out, tgt_out
 
 
 def training_loss(model: RegistrationModel, pair: SyntheticPair,
                   ctx: StepContext, train: bool = True,
-                  compute_grads: bool = True, grad_scale: float = 1.0,
-                  outputs=None):
-    """Evaluate the full two-stage loss under a frozen context; optionally
-    backpropagate ``grad_scale`` times its gradient into the parameters.
+                  compute_grads: bool = True, grad_scale: float = 1.0, *,
+                  outputs):
+    """Evaluate the full two-stage loss of the (src, tgt) backbone
+    ``outputs`` that ``make_step_context`` returned, under its frozen
+    context and against ``pair.transform``; optionally backpropagate
+    ``grad_scale`` times its gradient into the parameters.
 
-    ``outputs`` may carry the (src, tgt) backbone outputs produced while the
-    context was built, saving their recomputation; otherwise both forwards
-    run at once through ``_backbone_forwards``. Only the train-mode forward
-    keeps the caches a backward pass needs, so ``train=False`` evaluates the
-    loss alone. The two backbone backwards also run at once, through
-    ``on_both_sides``, which adds their gradients into ``Param.grad`` source
-    first, then target, as two sequential backwards would. A cache serves
-    one backward, which releases it as it goes (``Backbone.backward``): with
-    gradients, the outputs come back with ``cache`` None, and passing them
-    in again raises ``ValueError``.
+    Only the train-mode forward keeps the caches a backward pass needs, so
+    ``train=False`` evaluates the loss alone. The two backbone backwards run
+    at once, through ``on_both_sides``, which adds their gradients into
+    ``Param.grad`` source first, then target, as two sequential backwards
+    would. A backward consumes its output's cache (``Backbone.backward``):
+    with gradients, the outputs come back with ``cache`` None, and passing
+    them in again raises ``ValueError``.
     """
     if compute_grads and not train:
         raise ValueError("gradients need the train-mode forward; "
                          "eval mode keeps no caches")
     cfg = model.config
-    if outputs is not None:
-        src_out, tgt_out = outputs
-    else:
-        src_out, tgt_out = _backbone_forwards(model, pair, train,
-                                              plans=(ctx.src_plans, ctx.tgt_plans))
+    gt = pair.transform
+    src_out, tgt_out = outputs
     src_pure = purify(src_out.coarse, ctx.src_mask)
     tgt_pure = purify(tgt_out.coarse, ctx.tgt_mask)
     est_coarse, _, coarse_cache = coarse_head_forward(
         src_pure, tgt_pure, ctx.coarse_cand_idx, model.predictor,
         model.coarse_confidence, train)
 
-    warped = apply_transform(ctx.gt, src_out.fine.points)
+    warped = apply_transform(gt, src_out.fine.points)
     f_g, fg_cache = coarse.geometric_features(
         warped, tgt_out.fine.points, ctx.fine_cand_idx)
     f_d, fd_cache = coarse.descriptor_features(
@@ -418,9 +404,9 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
         c0_hat, warped, ctx.fine_cand_idx, tgt_out.fine.points,
         tgt_out.fine.descriptors, model.fine_confidence,
         temperature=cfg.decode_temperature)
-    est_fine = compose(step_tf, ctx.gt)
+    est_fine = compose(step_tf, gt)
 
-    total, terms, grads = loss_total(est_coarse, est_fine, ctx.gt, c0_hat,
+    total, terms, grads = loss_total(est_coarse, est_fine, gt, c0_hat,
                                      ctx.c_gt, cfg)
     if not compute_grads:
         return total, terms
@@ -444,15 +430,15 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
                     scatter(ctx.tgt_mask, g_tu, tgt_out.coarse.uncertainties.shape))
 
     # Fine stage: est_fine = step o gt, so d(step) pulls gt along.
-    g_step_rot = (s * grads["fine_rot"]) @ ctx.gt.rotation.T
-    g_step_rot += np.outer(s * grads["fine_trans"], ctx.gt.translation)
+    g_step_rot = (s * grads["fine_rot"]) @ gt.rotation.T
+    g_step_rot += np.outer(s * grads["fine_trans"], gt.translation)
     g_step_trans = s * grads["fine_trans"]
     g_c0, g_warped, g_tgt_fp, g_tgt_fd = diffusion.correspondence_to_transform_backward(
         c2t_cache, model.fine_confidence, g_step_rot, g_step_trans)
     g_c0 = g_c0 + s * grads["c0_hat"]
     _, g_f_g, g_f_d = diffusion.denoiser_backward(model.denoiser, den_cache, g_c0)
     g_warped2, g_tgt_fp2 = coarse.geometric_features_backward(fg_cache, g_f_g)
-    g_src_fp = (g_warped + g_warped2) @ ctx.gt.rotation
+    g_src_fp = (g_warped + g_warped2) @ gt.rotation
     g_src_fd, g_src_fu, g_tgt_fd2, g_tgt_fu = coarse.descriptor_features_backward(
         fd_cache, g_f_d)
 
@@ -486,8 +472,11 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
     Each cloud's front half (``preprocess_cloud``, then the eval-mode
     backbone) depends on that cloud alone, so both run at once through
     ``on_both_sides``; an exception in either re-raises here. Eval-mode
-    forwards write no shared state.
+    forwards write no shared state. A ``seed`` that is not a non-negative
+    integer raises ``ValueError`` before any work.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     cfg = model.config
 
     def front_half(cloud, cloud_seed):
@@ -626,7 +615,6 @@ def train(config: RunConfig, data_dir=None, log_path=None,
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             optimizer.zero_grad()
-            used = 0
             batch_terms = []
             for idx in batch:
                 step = _train_sample(model, train_pairs[idx], rng_train,
@@ -640,15 +628,14 @@ def train(config: RunConfig, data_dir=None, log_path=None,
                                        skipped_samples=skipped,
                                        seconds=time.perf_counter() - started)
                 batch_terms.append(terms)
-                used += 1
-            if used == 0:
+            if not batch_terms:
                 continue
             optimizer.step()
             for terms in batch_terms:
                 sums["trans"] += terms["trans"]
                 sums["rot"] += terms["rot"]
                 sums["diff"] += terms["diff"]
-            seen += used
+            seen += len(batch_terms)
 
         val_rte, val_rre = _validate(model, val_pairs)
         # An epoch that skipped every sample has no mean loss: NaN, as

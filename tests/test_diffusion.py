@@ -369,3 +369,20 @@ class TestAutoregressiveInference:
                                       schedule, k=3, steps=2, seed=0,
                                       denoise_fn=bad)
         assert exc_info.value.diagnostics["step"] == 1000
+
+    def test_geometric_features_built_once_per_step(self, monkeypatch):
+        fine_src, fine_tgt, gt, _ = self.make_scene(35)
+        schedule = diff.make_schedule()
+        den = diff.make_denoiser(6, np.random.default_rng(36))
+        conf = coarse.make_confidence_head(6, np.random.default_rng(37))
+        build, calls = diff.geometric_features, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(diff, "geometric_features", counting)
+        _, buffer, _ = diff.autoregressive_infer(
+            gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=3, seed=0)
+        assert len(buffer.steps) == 3
+        assert len(calls) == 3

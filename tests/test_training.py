@@ -141,7 +141,7 @@ class TestTrainingStep:
             [k for k, v in norms.items() if v == 0]
         # An eval-mode forward keeps no caches to backpropagate.
         with pytest.raises(ValueError, match="train-mode forward"):
-            training.training_loss(model, pair, ctx, train=False)
+            training.training_loss(model, pair, ctx, train=False, outputs=(so, to))
 
     def test_full_loss_gradcheck(self):
         cfg = tiny_config()
@@ -150,17 +150,23 @@ class TestTrainingStep:
         pair = training.gen_synthetic_pair(rng, cfg.train_points, cfg.max_rot_deg,
                                            cfg.max_trans, cfg.jitter, 0)
         pair = training._preprocess_pair(pair, cfg, 0)
-        ctx, _, _ = training.make_step_context(model, pair, rng)
+        ctx, so, to = training.make_step_context(model, pair, rng)
         params = model.named_params()
+
+        def outputs():
+            # Each probe reruns both forwards with the step's sampling plans.
+            return tuple(model.backbone.forward(cloud, seed=cfg.seed, train=True,
+                                                plans=out.plans)
+                         for cloud, out in ((pair.source, so), (pair.target, to)))
 
         def fb():
             model.zero_grads()
-            total, _ = training.training_loss(model, pair, ctx)
+            total, _ = training.training_loss(model, pair, ctx, outputs=outputs())
             return total
 
         def loss_only():
-            total, _ = training.training_loss(model, pair, ctx,
-                                              compute_grads=False)
+            total, _ = training.training_loss(model, pair, ctx, compute_grads=False,
+                                              outputs=outputs())
             return total
 
         err = nnet.finite_diff_check(fb, params, h=1e-5, max_coords=2, seed=4,
@@ -581,6 +587,17 @@ class TestRegisterPair:
             h.update(result.transform.translation.tobytes())
         assert h.hexdigest() == \
             "9702dc871c232450ad153749e6e5a1035483735d3197d038b40423b588832564"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_bad_seed_raises_before_any_work(self, monkeypatch, seed):
+        def preprocess(*args):
+            raise AssertionError("preprocess_cloud ran")
+
+        monkeypatch.setattr(training, "preprocess_cloud", preprocess)
+        model = training.RegistrationModel(tiny_config())
+        cloud = np.zeros((96, 3))
+        with pytest.raises(ValueError, match="seed"):
+            training.register_pair(model, cloud, cloud, seed=seed)
 
     def test_runs_end_to_end_untrained(self):
         cfg = tiny_config()
