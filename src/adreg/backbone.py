@@ -28,21 +28,21 @@ UNCERTAINTY_HIDDEN = 64
 # whatever the layer sizes. 2**16 float64 entries are 512 KB, so a block's
 # input, product and output stay within a 2 MB per-core L2 cache across
 # each elementwise pass; 2**19 (4 MB per array) sent every pass to L3.
-# Blocks only split rows, so the outputs are the same at every size. Eval
-# backbone forwards with fixed plans, both clouds of a pair on two threads
-# as register_pair runs them, median ms per pair over 15 round-robin
-# rounds, two runs on a 2-core Xeon (scale 0.25 on 512-point clouds; scale
-# 1.0 on 60k-point clouds, about 12k after the voxel grid):
+# Blocks only split rows, so the outputs are the same at every size. The
+# eval layer forwards of a pair with fixed plans, both clouds on two threads
+# as Backbone.forward_pair runs them (FPS and KNN not included), median ms
+# per pair over 15 round-robin rounds, two runs on a 2-core Xeon (scale
+# 0.25 on 512-point clouds; scale 1.0 on 60k-point clouds, about 12k after
+# the voxel grid):
 #
 #   entries   2**15    2**16    2**17    2**18
-#   0.25      89/102   72/78    67/76    74/78
-#   1.0      360/392  258/284  251/265  265/285
+#   0.25      90/88    74/74    84/80    99/98
+#   1.0      340/312  268/250  253/239  267/252
 #
 # Each block's numpy calls release and retake the interpreter lock, which
 # the other thread also wants, so small blocks cost more with two threads.
-# 2**17 is 3-7% faster, but its blocks hold twice the scratch: the
-# benchmark's peak RSS rose by 1 MB on register_small and 2.7 MB on
-# register_full.
+# 2**17 is 5-6% faster at full scale, but 8-14% slower at scale 0.25, and
+# its blocks hold twice the scratch.
 _FORWARD_BLOCK_ENTRIES = 1 << 16
 
 
@@ -119,28 +119,45 @@ class DetectorDescriptorLayer:
 
     def plan(self, pts: np.ndarray, unc: np.ndarray, seed: int,
              weighted: bool) -> LayerPlan:
-        n_in = len(pts)
-        if n_in < self.cfg.n_out:
+        """The layer's sampling (``sample``) and grouping (``group``)."""
+        return self.group(pts, self.sample(pts, unc, seed, weighted))
+
+    def sample(self, pts: np.ndarray, unc: np.ndarray, seed: int,
+               weighted: bool) -> np.ndarray:
+        """The ``n_out`` representative points (FPS, weighted by
+        ``1 - unc`` when ``weighted``), as indices into ``pts``."""
+        if len(pts) < self.cfg.n_out:
             raise ValueError(
-                f"layer needs at least {self.cfg.n_out} input points, got {n_in}")
+                f"layer needs at least {self.cfg.n_out} input points, got {len(pts)}")
         weights = (1.0 - unc) if weighted else None
-        selected = farthest_point_sample(pts, self.cfg.n_out, weights=weights, seed=seed)
-        k_eff = min(self.cfg.k_group, n_in)
-        groups = knn_search(pts[selected], pts, k_eff).indices
-        return LayerPlan(selected, groups)
+        return farthest_point_sample(pts, self.cfg.n_out, weights=weights, seed=seed)
+
+    def group(self, pts: np.ndarray, selected: np.ndarray) -> LayerPlan:
+        """The plan that groups each selected point's ``min(K, n_in)``
+        nearest input points."""
+        k_eff = min(self.cfg.k_group, len(pts))
+        return LayerPlan(selected, knn_search(pts[selected], pts, k_eff).indices)
+
+    def fold(self) -> tuple:
+        """The eval pass's folded stacks, for ``forward``: each stack's
+        ``nnet.CBRStack.fold``, and the same scaled for the products
+        (``nnet.scale_folds``)."""
+        folds = (self.detector.fold(), self.descriptor.fold())
+        return folds, tuple(nnet.scale_folds(f) for f in folds)
 
     def forward(self, pts: np.ndarray, feats: np.ndarray, unc: np.ndarray,
-                plan: LayerPlan, train: bool):
+                plan: LayerPlan, train: bool, folds: tuple | None = None):
         """Fuse each group into an output point, descriptor and uncertainty.
 
         Returns (p_out, d_out, u_out, cache). Only train mode returns a
         cache, for ``backward``; its stacks run through
         ``nnet.CBRStack.forward``, whose batch norms fold their batch
-        statistics as they run (``nnet.BatchNorm``). Eval mode folds each
-        CBR's batch norm once per call (``nnet.CBRStack.fold``), not once
-        per row block, and skips the stacks' finiteness checks when a bound
-        on the layer input shows they cannot fire
-        (``nnet.folds_stay_finite``). It walks the output points in blocks
+        statistics as they run (``nnet.BatchNorm``). Eval mode takes each
+        CBR's batch norm folded into its weights once per call
+        (``fold``, which the caller may pass as ``folds`` to share it
+        between clouds), not once per row block, and skips the stacks'
+        finiteness checks when a bound on the layer input shows they cannot
+        fire (``nnet.folds_stay_finite``). It walks the output points in blocks
         whose widest activation holds about ``_FORWARD_BLOCK_ENTRIES``
         entries, sized so that a block's arrays stay in a core's L2 cache
         through the CBR stacks and the member fusion; each output row
@@ -156,13 +173,14 @@ class DetectorDescriptorLayer:
         widest = max(width, *self.cfg.widths)
         rows = n_out if train else max(1, _FORWARD_BLOCK_ENTRIES // (k * widest))
         if not train:
-            folds = (self.detector.fold(), self.descriptor.fold())
+            stack_folds, scaled = folds if folds is not None else self.fold()
             # Member rows hold p - centre, features and uncertainties, so
             # no entry exceeds this bound, rounding included. np.max keeps a
             # NaN, which keeps every check.
             bound = 4.0 * float(np.max([pts.max(), -pts.min(), feats.max(),
                                         -feats.min(), unc.max(), -unc.min()]))
-            checked = not all(nnet.folds_stay_finite(f, bound, rows * k) for f in folds)
+            checked = not all(nnet.folds_stay_finite(f, bound, rows * k)
+                              for f in stack_folds)
         p_out = np.empty((n_out, 3))
         d_out = np.empty((n_out, self.out_dim))
         for start in range(0, n_out, rows):
@@ -181,8 +199,8 @@ class DetectorDescriptorLayer:
                 logits, det_cache = self.detector.forward(x, train)
                 desc_rows, desc_cache = self.descriptor.forward(x, train)
             else:
-                logits = self.detector.forward_folded(x, folds[0], checked)
-                desc_rows = self.descriptor.forward_folded(x, folds[1], checked)
+                logits = self.detector.forward_folded(x, scaled[0], checked)
+                desc_rows = self.descriptor.forward_folded(x, scaled[1], checked)
             w = softmax_rows(logits.reshape(n, k))
             desc_feat = desc_rows.reshape(n, k, self.out_dim)
             p_out[block], d_out[block] = fuse_candidates(w, member_pts, desc_feat)
@@ -247,6 +265,37 @@ class BackboneOutput:
     cache: dict | None
 
 
+class _CloudRun:
+    """One cloud's way through the backbone: the current layer input and
+    what each layer so far produced."""
+
+    def __init__(self, net: "Backbone", cloud):
+        self.pts = as_points(cloud)
+        if len(self.pts) < net.configs[0].n_out:
+            raise ValueError(f"backbone needs at least {net.configs[0].n_out} "
+                             f"points, got {len(self.pts)}")
+        self.feats, self.lift_cache = net.lift.forward(self.pts)
+        self.unc = np.full(len(self.pts), INITIAL_UNCERTAINTY)
+        self.outputs, self.plans, self.caches = [], [], []
+
+    def advance(self, layer: DetectorDescriptorLayer, pick, train: bool, folds):
+        """Run ``layer`` on the current input. ``pick`` is the layer's plan,
+        or the sampled points (``DetectorDescriptorLayer.sample``) to group
+        around; ``folds`` is ``layer.fold()`` in eval mode."""
+        plan = pick if isinstance(pick, LayerPlan) else layer.group(self.pts, pick)
+        p_out, d_out, u_out, cache = layer.forward(self.pts, self.feats, self.unc,
+                                                   plan, train, folds)
+        self.outputs.append(FeatureSet(p_out, d_out, u_out))
+        self.plans.append(plan)
+        self.caches.append(cache)
+        self.pts, self.feats, self.unc = p_out, d_out, u_out
+
+    def output(self, train: bool) -> BackboneOutput:
+        cache = {"layers": self.caches, "lift": self.lift_cache} if train else None
+        return BackboneOutput(fine=self.outputs[1], coarse=self.outputs[2],
+                              plans=tuple(self.plans), cache=cache)
+
+
 class Backbone:
     """Three detector-descriptor layers; layer 2 is the fine stage, layer 3
     the coarse stage."""
@@ -260,30 +309,49 @@ class Backbone:
 
     def forward(self, cloud, seed: int = 0, train: bool = False,
                 plans: tuple[LayerPlan, ...] | None = None) -> BackboneOutput:
-        pts = as_points(cloud)
-        if len(pts) < self.configs[0].n_out:
-            raise ValueError(
-                f"backbone needs at least {self.configs[0].n_out} points, got {len(pts)}")
-        feats, lift_cache = self.lift.forward(pts)
-        unc = np.full(len(pts), INITIAL_UNCERTAINTY)
+        """One cloud through the layers, sampling and grouping each layer's
+        input with ``seed``, or following ``plans`` (one per layer) where
+        given. Train-mode batch statistics are folded into the running
+        ones only after the last layer has run."""
+        (out,) = self._forward_clouds((cloud,), seed, train, (plans,))
+        return out
 
-        outputs = []
-        used_plans = []
-        caches = []
-        for i, layer in enumerate(self.layers):
-            if plans is not None:
-                plan = plans[i]
-            else:
-                plan = layer.plan(pts, unc, seed=seed, weighted=(i > 0))
-            p_out, d_out, u_out, cache = layer.forward(pts, feats, unc, plan, train)
-            outputs.append(FeatureSet(p_out, d_out, u_out))
-            used_plans.append(plan)
-            caches.append(cache)
-            pts, feats, unc = p_out, d_out, u_out
+    def forward_pair(self, src_cloud, tgt_cloud, seed: int = 0,
+                     train: bool = False) -> tuple[BackboneOutput, BackboneOutput]:
+        """``(forward(src_cloud, seed, train), forward(tgt_cloud, seed,
+        train))``, bit for bit, with the work split by what a second thread
+        speeds up. Per layer, both clouds' FPS runs on the calling thread:
+        one numpy call per picked point, so two threads would mostly wait
+        for the interpreter lock. Then ``nnet.on_both_sides`` runs each
+        cloud's KNN grouping and layer forward, whose time goes to large
+        products and gathers. An eval-mode layer folds its batch norms once
+        for both clouds. Train-mode batch statistics wait in one record
+        that is applied, source before target at each batch norm as two
+        ``forward`` calls would fold them, only after every layer has run
+        on both clouds: a failure on either side leaves the running
+        statistics as they were, and no thread outlives the call."""
+        return tuple(self._forward_clouds((src_cloud, tgt_cloud), seed, train,
+                                          (None, None)))
 
-        cache = {"layers": caches, "lift": lift_cache} if train else None
-        return BackboneOutput(fine=outputs[1], coarse=outputs[2],
-                              plans=tuple(used_plans), cache=cache)
+    def _forward_clouds(self, clouds, seed, train, plans) -> list[BackboneOutput]:
+        """The layer loop of ``forward`` (one cloud) and ``forward_pair``
+        (two), each cloud following its entry of ``plans`` unless None."""
+        runs = [_CloudRun(self, cloud) for cloud in clouds]
+        with nnet.deferred_writes() as record, nnet.shared_worker():
+            for i, layer in enumerate(self.layers):
+                folds = None if train else layer.fold()
+                # FPS on this thread, for every cloud before any grouping.
+                picks = [layer.sample(run.pts, run.unc, seed, weighted=i > 0)
+                         if fixed is None else fixed[i]
+                         for run, fixed in zip(runs, plans)]
+                steps = [(run, layer, pick, train, folds)
+                         for run, pick in zip(runs, picks)]
+                if len(steps) == 1:
+                    _CloudRun.advance(*steps[0])
+                else:
+                    nnet.on_both_sides(_CloudRun.advance, *steps)
+        record.apply()
+        return [run.output(train) for run in runs]
 
     def backward(self, output: BackboneOutput, g_coarse, g_fine):
         """Accumulate parameter gradients given output-side gradients.

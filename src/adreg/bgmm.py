@@ -84,14 +84,20 @@ def _nearest_center(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ((pts[:, None, :] - centers[None]) ** 2).sum(axis=-1).argmin(axis=1)
 
 
-def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-6,
+def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-3,
             seed: int = 0, floor: float = COVARIANCE_FLOOR) -> GmmModel:
     """EM fit from a k-means++/Lloyd initialization; deterministic given seed.
 
-    Log-likelihood per EM iteration is recorded on the returned model. A
-    component whose responsibilities sum below 1e-8 gets a responsibility
-    of 1e-8 from every point before the M-step, so it keeps a tiny weight
-    and moves to the cloud's centroid with the cloud's covariance.
+    Log-likelihood per EM iteration is recorded on the returned model. EM
+    stops after the M-step of the first iteration whose log-likelihood
+    gained less than ``tol`` per point over the previous one (``tol * N``
+    in all), or after ``max_iters`` iterations. ``tol`` thus bounds the
+    gain of the mean log-likelihood, as scikit-learn's ``GaussianMixture``
+    does, with its default of 1e-3: the rule does not tighten with the
+    cloud's size. A component whose responsibilities sum below 1e-8 gets a
+    responsibility of 1e-8 from every point before the M-step, so it keeps
+    a tiny weight and moves to the cloud's centroid with the cloud's
+    covariance.
     """
     pts = as_points(cloud)
     n = len(pts)
@@ -137,7 +143,7 @@ def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-6,
         cov = np.swapaxes(diff * resp.T[:, :, None], 1, 2) @ diff / counts[:, None, None]
         model.covariances = _floor_covariance(cov, floor)
 
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
+        if ll - prev_ll < tol * n and np.isfinite(prev_ll):
             break
         prev_ll = ll
 

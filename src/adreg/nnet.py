@@ -12,12 +12,14 @@ them) and a train-mode batch norm folds its batch statistics into its
 running ones. Inside ``deferred_writes`` both go to a record of the calling
 thread instead, which ``DeferredWrites.apply`` makes later. So forwards and
 backwards over several inputs may run on separate threads, and their writes
-are then made in an order the caller fixes.
+are then made in an order the caller fixes; ``on_both_sides`` runs one call
+per cloud of a pair that way.
 """
 
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,7 +50,8 @@ KINK_SHRINKS = 3
 #   run 2      118    112    114    116    124    131
 _ROW_BLOCK_ENTRIES = 1 << 16
 
-# The DeferredWrites record of each thread inside ``deferred_writes``.
+# Per thread: the DeferredWrites record inside ``deferred_writes``, and
+# the worker inside ``shared_worker``.
 _LOCAL = threading.local()
 
 
@@ -109,6 +112,65 @@ def deferred_writes():
         yield _LOCAL.record
     finally:
         _LOCAL.record = previous
+
+
+@contextmanager
+def shared_worker():
+    """Run every ``on_both_sides`` call that the calling thread makes inside
+    the block on one worker thread, which ends with the block; inside an
+    outer ``shared_worker`` block, the outer one's.
+
+    A thread per call would end while the caller goes on: when the next
+    one starts before the last has released its malloc arena, glibc opens
+    another arena, and what the old one keeps stays resident. With a thread
+    per layer, the desk-scale training benchmark's peak RSS rose from about
+    340 to 400-454 MB in 4 of 16 runs beside other busy processes on a
+    2-core machine (a third arena showed in glibc's ``malloc_stats``); with
+    one worker per step, in none of 12.
+    """
+    if getattr(_LOCAL, "worker", None) is not None:
+        yield
+        return
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        _LOCAL.worker = worker
+        try:
+            yield
+        finally:
+            _LOCAL.worker = None
+
+
+def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
+    """``(fn(*src_args), fn(*tgt_args))``, the target's call running on a
+    worker thread (``shared_worker``'s, or one for this call) while the
+    source's runs on the calling thread.
+
+    Each call runs inside a ``deferred_writes`` record of its own, so
+    neither writes a gradient or running statistic while the other runs.
+    After both end, the source's record is applied, then the target's: the
+    sums come out as two sequential calls would make them, and inside an
+    outer record of the calling thread they wait there. An exception on
+    either side re-raises here after both calls have ended, and neither
+    record is applied. The calls must share no other state that either
+    writes. BLAS stays single-threaded, so this is the package's one source
+    of parallelism; it pays only where both calls spend most of their time
+    in a few large numpy calls that release the interpreter lock (products,
+    gathers, sorts), because a thread running many small numpy calls mostly
+    waits for that lock.
+    """
+    def recorded(args):
+        with deferred_writes() as record:
+            return fn(*args), record
+
+    with shared_worker():
+        tgt_future = _LOCAL.worker.submit(recorded, tgt_args)
+        try:
+            src_result, src_record = recorded(src_args)
+        finally:
+            wait((tgt_future,))
+        tgt_result, tgt_record = tgt_future.result()
+    src_record.apply()
+    tgt_record.apply()
+    return src_result, tgt_result
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -355,7 +417,8 @@ class CBR:
         five passes over the (N, out) output. The per-channel part is
         computed here from the current parameters and running statistics;
         ``forward`` redoes it on every call, and a backbone layer's eval
-        pass once per layer call, so it never goes stale."""
+        pass once per layer call, so it never goes stale. ``scale_folds``
+        turns it into the product's operands."""
         bn = self.bn
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
         return (self.lin.w.value, scale,
@@ -374,22 +437,34 @@ class CBR:
         yield from self.bn.named_buffers(f"{prefix}.bn")
 
 
-def _folded_cbrs(x: np.ndarray, folds, checked: bool = True) -> np.ndarray:
-    """``x`` through eval-mode CBR blocks given by their ``CBR.fold``:
-    ``relu(x @ (w * scale[:, None]).T + b)`` per block, computed in place in
-    the product's buffer, so ``x`` itself is not written. The weights are
-    scaled here, per call, so that a caller running many row blocks holds
-    only the per-channel vectors between them, not a scaled copy of every
-    weight (about 1 MB per cloud in the full backbone's third layer).
-    ``checked=False`` skips the finiteness checks, for a caller that has
-    shown with ``folds_stay_finite`` that they cannot fire."""
-    for w, scale, b in folds:
-        x = x @ (w * scale[:, None]).T
+def scale_folds(folds) -> list:
+    """Each ``CBR.fold`` triple as the pair ``(w_t, b)`` that the eval
+    product takes: ``w_t`` is the transposed view of ``w * scale[:, None]``.
+    A caller that runs many row blocks, or both clouds of a pair, scales
+    once for all of them and hands every product the same operands, so the
+    outputs are those of scaling per product, bit for bit. The scaled
+    weights of the full backbone's third layer hold about 1 MB."""
+    return [((w * scale[:, None]).T, b) for w, scale, b in folds]
+
+
+def _scaled_cbrs(x: np.ndarray, scaled, checked: bool = True) -> np.ndarray:
+    """``x`` through eval-mode CBR blocks given by ``scale_folds``:
+    ``relu(x @ w_t + b)`` per block, computed in place in the product's
+    buffer, so ``x`` itself is not written. ``checked=False`` skips the
+    finiteness checks, for a caller that has shown with
+    ``folds_stay_finite`` that they cannot fire."""
+    for w_t, b in scaled:
+        x = x @ w_t
         x += b
         if checked:
             _check_finite(x, "batchnorm output")
         np.maximum(x, 0.0, out=x)
     return x
+
+
+def _folded_cbrs(x: np.ndarray, folds, checked: bool = True) -> np.ndarray:
+    """``_scaled_cbrs`` over blocks given by their ``CBR.fold``."""
+    return _scaled_cbrs(x, scale_folds(folds), checked)
 
 
 def folds_stay_finite(folds, bound: float, rows: int) -> bool:
@@ -424,7 +499,7 @@ class CBRStack:
 
     def forward(self, x: np.ndarray, train: bool):
         if not train:
-            return self.forward_folded(x, self.fold()), None
+            return self.forward_folded(x, scale_folds(self.fold())), None
         caches = []
         for block in self.blocks:
             x, c = block.forward(x, train)
@@ -435,17 +510,17 @@ class CBRStack:
         return x, caches
 
     def fold(self) -> list:
-        """Each block's eval-mode ``CBR.fold``, for ``forward_folded``."""
+        """Each block's eval-mode ``CBR.fold``."""
         return [block.fold() for block in self.blocks]
 
-    def forward_folded(self, x: np.ndarray, folds: list,
+    def forward_folded(self, x: np.ndarray, scaled: list,
                        checked: bool = True) -> np.ndarray:
-        """The eval-mode output for ``x``, given the blocks' ``fold``: a
-        caller that runs many row blocks folds once for all of them.
-        ``checked`` is ``_folded_cbrs``'s; the head always checks."""
+        """The eval-mode output for ``x``, given ``scale_folds(self.fold())``:
+        a caller that runs many row blocks folds and scales once for all of
+        them. ``checked`` is ``_scaled_cbrs``'s; the head always checks."""
         if self.blocks:
             self.blocks[0].lin.check_input(x)
-        x = _folded_cbrs(x, folds, checked)
+        x = _scaled_cbrs(x, scaled, checked)
         if self.head is not None:
             x, _ = self.head.forward(x)
         return x

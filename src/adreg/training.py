@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .geometry import (RigidTransform, apply_transform, as_points, compose,
                        random_rigid_transform, transform_errors, voxel_downsample)
 from .io import (MIN_TRAIN_POINTS, Checkpoint, CheckpointError, RunConfig,
                  fields_named_in)
-from .nnet import Adam, Param
+from .nnet import Adam, Param, on_both_sides
 
 OUTLIER_MIN_RADIUS = 20.0
 OUTLIER_MAX_RADIUS = 35.0
@@ -308,47 +307,18 @@ class StepContext:
     c_t: np.ndarray
 
 
-def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
-    """``(fn(*src_args), fn(*tgt_args))``, the target's call running on a
-    worker thread while the source's runs on the calling thread.
-
-    Each call runs inside an ``nnet.deferred_writes`` record of its own, so
-    neither writes a gradient or running statistic while the other runs.
-    After both end, the source's record is applied, then the target's: the
-    sums come out as two sequential calls would make them. An exception on
-    either side re-raises here after both calls have ended, so no thread
-    outlives the call, and neither record is applied. The calls must share
-    no other state that either writes. BLAS stays single-threaded; this is
-    the package's one source of parallelism.
-    """
-    def recorded(args):
-        with nnet.deferred_writes() as record:
-            return fn(*args), record
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        tgt_future = worker.submit(recorded, tgt_args)
-        src_result, src_record = recorded(src_args)
-        tgt_result, tgt_record = tgt_future.result()
-    src_record.apply()
-    tgt_record.apply()
-    return src_result, tgt_result
-
-
 def make_step_context(model: RegistrationModel, pair: SyntheticPair,
                       rng: np.random.Generator):
-    """Run the step's two train-mode backbone forwards, at once through
-    ``on_both_sides``, and fix masks, candidates, supervision and the noise
-    draw from them.
+    """Run the step's two train-mode backbone forwards
+    (``Backbone.forward_pair``) and fix masks, candidates, supervision and
+    the noise draw from them.
 
     Returns (context, src_backbone_out, tgt_backbone_out). The outputs carry
     the caches that the step's one ``training_loss`` call consumes.
     """
     cfg = model.config
-
-    def forward(cloud):
-        return model.backbone.forward(cloud, seed=cfg.seed, train=True)
-
-    src_out, tgt_out = on_both_sides(forward, (pair.source,), (pair.target,))
+    src_out, tgt_out = model.backbone.forward_pair(pair.source, pair.target,
+                                                   seed=cfg.seed, train=True)
     _, _, (src_mask, tgt_mask), coarse_cand = purified_candidates(
         src_out.coarse, tgt_out.coarse, gmm_components=cfg.gmm_components,
         bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
@@ -469,22 +439,22 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
                   seed: int = 0, gt: RigidTransform | None = None) -> RegistrationResult:
     """Run the full coarse + autoregressive fine pipeline on a cloud pair.
 
-    Each cloud's front half (``preprocess_cloud``, then the eval-mode
-    backbone) depends on that cloud alone, so both run at once through
-    ``on_both_sides``; an exception in either re-raises here. Eval-mode
-    forwards write no shared state. A ``seed`` that is not a non-negative
-    integer raises ``ValueError`` before any work.
+    The two clouds are preprocessed at once through ``on_both_sides``,
+    then run through the eval-mode backbone together
+    (``Backbone.forward_pair``, which puts only each layer's grouping and
+    products on two threads), all on one worker thread
+    (``nnet.shared_worker``); an exception on either side re-raises here.
+    Eval-mode forwards write no shared state. A ``seed`` that is not a
+    non-negative integer raises ``ValueError`` before any work.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     cfg = model.config
 
-    def front_half(cloud, cloud_seed):
-        cloud = preprocess_cloud(cloud, cfg, cloud_seed)
-        return model.backbone.forward(cloud, seed=seed, train=False)
-
-    src_out, tgt_out = on_both_sides(front_half, (src_cloud, seed),
-                                     (tgt_cloud, seed + 1))
+    with nnet.shared_worker():
+        src_pts, tgt_pts = on_both_sides(preprocess_cloud, (src_cloud, cfg, seed),
+                                         (tgt_cloud, cfg, seed + 1))
+        src_out, tgt_out = model.backbone.forward_pair(src_pts, tgt_pts, seed=seed)
     coarse_tf, diag, _ = coarse.coarse_register(
         src_out, tgt_out, model.predictor, model.coarse_confidence,
         gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,

@@ -352,3 +352,66 @@ class TestBackwardReleasesCache:
             net.backward(out, **grads)
         with pytest.raises(ValueError, match="eval mode"):
             net.backward(net.forward(cloud, seed=0), **grads)
+
+
+class TestForwardPair:
+    """Both clouds through ``Backbone.forward_pair`` equal two ``forward``
+    calls, byte for byte: FPS on the calling thread, grouping and products
+    on two, and the train-mode writes held to the end change nothing."""
+
+    @staticmethod
+    def clouds(n_src, n_tgt):
+        rng = np.random.default_rng(50)
+        return make_cloud(rng, n_src), make_cloud(rng, n_tgt)
+
+    @staticmethod
+    def assert_same_outputs(got, want):
+        for fs in ("fine", "coarse"):
+            for field in ("points", "descriptors", "uncertainties"):
+                a, b = getattr(getattr(got, fs), field), getattr(getattr(want, fs), field)
+                assert a.tobytes() == b.tobytes(), f"{fs}.{field}"
+        assert len(got.plans) == len(want.plans)
+        for a, b in zip(got.plans, want.plans):
+            assert a.selected.tobytes() == b.selected.tobytes()
+            assert a.groups.tobytes() == b.groups.tobytes()
+
+    # The desk scale, and 1/32, where layers 2 and 3 group their whole input.
+    @pytest.mark.parametrize("scale, sizes", [(0.25, (600, 731)), (1.0 / 32.0, (96, 70))])
+    def test_eval_pair_matches_two_forwards(self, scale, sizes):
+        net = bb.Backbone(np.random.default_rng(51), scale=scale)
+        src, tgt = self.clouds(*sizes)
+        got = net.forward_pair(src, tgt, seed=3)
+        for out, cloud in zip(got, (src, tgt)):
+            self.assert_same_outputs(out, net.forward(cloud, seed=3))
+            assert out.cache is None
+
+    @pytest.mark.parametrize("scale, sizes", [(0.25, (600, 731)), (1.0 / 32.0, (96, 70))])
+    def test_train_pair_matches_two_forwards(self, scale, sizes):
+        src, tgt = self.clouds(*sizes)
+        rng = np.random.default_rng(52)
+        nets, outs = [], []
+        for pair in (True, False):
+            net = bb.Backbone(np.random.default_rng(53), scale=scale)
+            if pair:
+                out = net.forward_pair(src, tgt, seed=4, train=True)
+            else:
+                out = (net.forward(src, seed=4, train=True),
+                       net.forward(tgt, seed=4, train=True))
+            nets.append(net)
+            outs.append(out)
+        for got, want in zip(*outs):
+            self.assert_same_outputs(got, want)
+        grads = TestBackwardReleasesCache.output_grads(nets[0], rng)
+        for net, (so, to) in zip(nets, outs):
+            net.backward(so, **grads)
+            net.backward(to, **grads)
+        pair_net, single_net = nets
+        # Softmax ignores a shift of its logits, so the detector heads' bias
+        # gradients are zero up to rounding; every other gradient is not.
+        nonzero = 0
+        for (name, p), (_, q) in zip(pair_net.named_params(), single_net.named_params()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+            nonzero += bool(p.grad.any())
+        assert nonzero >= len(dict(pair_net.named_params())) - len(pair_net.layers)
+        for (name, a), (_, b) in zip(pair_net.named_buffers(), single_net.named_buffers()):
+            assert a.tobytes() == b.tobytes(), name

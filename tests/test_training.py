@@ -290,6 +290,30 @@ class TestConcurrentStep:
         # forwards succeed.
         assert self.digest(model._buffer_modules()) == buffers
 
+    def test_target_layer_two_raises_and_leaves_no_thread(self, monkeypatch):
+        # The failure comes after layer 1 has run on both clouds, whose batch
+        # statistics must still not reach the running ones.
+        model, pair, rng = self.step_inputs()
+        layer = model.backbone.layers[1]
+        forward = layer.forward
+        caller = threading.current_thread()
+        calls = []
+
+        def failing_off_the_calling_thread(*args, **kwargs):
+            calls.append(threading.current_thread() is caller)
+            if not calls[-1]:
+                raise RuntimeError("target layer 2 failed")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(layer, "forward", failing_off_the_calling_thread)
+        buffers = self.digest(model._buffer_modules())
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="target layer 2 failed"):
+            training.make_step_context(model, pair, rng)
+        assert set(threading.enumerate()) == before
+        assert sorted(calls) == [False, True]
+        assert self.digest(model._buffer_modules()) == buffers
+
     def test_target_backward_raises_and_leaves_no_thread(self, monkeypatch):
         model, pair, rng = self.step_inputs()
         ctx, so, to = training.make_step_context(model, pair, rng)
