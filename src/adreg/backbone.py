@@ -6,6 +6,13 @@ KNN, scores group members with a CBR stack (softmax weights), and emits the
 weighted fusion of member coordinates and descriptor features plus a sigmoid
 uncertainty per output point. The layer-2 output feeds the fine registration
 stage, layer 3 the coarse stage.
+
+Dtypes: train mode runs in float64 throughout, where the gradient checks
+need it. Eval mode runs each layer's detector and descriptor stacks in
+float32: their CBR products (``DetectorDescriptorLayer.fold`` casts the
+weights once per layer call) and the detector's linear head. Everything
+else stays in float64: FPS, KNN, the member fusion with its softmax
+weights, the uncertainty MLP, and the layer outputs.
 """
 
 from __future__ import annotations
@@ -24,26 +31,25 @@ INITIAL_UNCERTAINTY = 0.5
 LIFT_WIDTH = 32
 UNCERTAINTY_HIDDEN = 64
 # An eval-mode layer forward handles output points in blocks whose widest
-# activation holds about this many entries, which bounds its scratch memory
-# whatever the layer sizes. 2**16 float64 entries are 512 KB, so a block's
-# input, product and output stay within a 2 MB per-core L2 cache across
-# each elementwise pass; 2**19 (4 MB per array) sent every pass to L3.
-# Blocks only split rows, so the outputs are the same at every size. The
-# eval layer forwards of a pair with fixed plans, both clouds on two threads
-# as Backbone.forward_pair runs them (FPS and KNN not included), median ms
-# per pair over 15 round-robin rounds, two runs on a 2-core Xeon (scale
-# 0.25 on 512-point clouds; scale 1.0 on 60k-point clouds, about 12k after
-# the voxel grid):
+# activation holds about this many float32 entries. The budget is 512 KB
+# per activation, which bounds its scratch memory whatever the layer sizes:
+# a block's input, product and output stay within a 2 MB per-core L2 cache
+# across each elementwise pass. Blocks only split rows, so the outputs are
+# the same at every size. The eval layer forwards of a pair with fixed
+# plans, both clouds on two threads as Backbone.forward_pair runs them (FPS
+# and KNN not included), median ms per pair over round-robin rounds (15 at
+# scale 0.25 on 512-point clouds, 10 at scale 1.0 on 60k-point clouds,
+# about 12k after the voxel grid), two runs on a 2-core Xeon:
 #
 #   entries   2**15    2**16    2**17    2**18
-#   0.25      90/88    74/74    84/80    99/98
-#   1.0      340/312  268/250  253/239  267/252
+#   0.25      74/74    50/51    48/49    54/55
+#   1.0      231/267  157/178  131/152  131/156
 #
 # Each block's numpy calls release and retake the interpreter lock, which
 # the other thread also wants, so small blocks cost more with two threads.
-# 2**17 is 5-6% faster at full scale, but 8-14% slower at scale 0.25, and
-# its blocks hold twice the scratch.
-_FORWARD_BLOCK_ENTRIES = 1 << 16
+# 2**18 is no faster at full scale, slower at scale 0.25, and its blocks
+# hold twice the scratch.
+_FORWARD_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -140,10 +146,14 @@ class DetectorDescriptorLayer:
 
     def fold(self) -> tuple:
         """The eval pass's folded stacks, for ``forward``: each stack's
-        ``nnet.CBRStack.fold``, and the same scaled for the products
-        (``nnet.scale_folds``)."""
-        folds = (self.detector.fold(), self.descriptor.fold())
-        return folds, tuple(nnet.scale_folds(f) for f in folds)
+        ``nnet.CBRStack.fold`` scaled for the products
+        (``nnet.scale_folds``) and cast to float32, the dtype the products
+        run in. An entry beyond float32's range becomes infinite, and
+        ``nnet.folds_stay_finite`` then keeps the checks that catch it."""
+        with np.errstate(over="ignore"):
+            return tuple([(w_t.astype(np.float32), b.astype(np.float32))
+                          for w_t, b in nnet.scale_folds(stack.fold())]
+                         for stack in (self.detector, self.descriptor))
 
     def forward(self, pts: np.ndarray, feats: np.ndarray, unc: np.ndarray,
                 plan: LayerPlan, train: bool, folds: tuple | None = None):
@@ -152,15 +162,19 @@ class DetectorDescriptorLayer:
         Returns (p_out, d_out, u_out, cache). Only train mode returns a
         cache, for ``backward``; its stacks run through
         ``nnet.CBRStack.forward``, whose batch norms fold their batch
-        statistics as they run (``nnet.BatchNorm``). Eval mode takes each
-        CBR's batch norm folded into its weights once per call
-        (``fold``, which the caller may pass as ``folds`` to share it
-        between clouds), not once per row block, and skips the stacks'
-        finiteness checks when a bound on the layer input shows they cannot
-        fire (``nnet.folds_stay_finite``). It walks the output points in blocks
+        statistics as they run (``nnet.BatchNorm``); it runs in float64.
+        Eval mode takes each CBR's batch norm folded into its weights,
+        scaled and cast to float32 once per call (``fold``, which the caller
+        may pass as ``folds`` to share it between clouds), not once per row
+        block.
+        It gathers each block's member rows into a float32 buffer, runs the
+        stacks in float32, and takes the softmax and fuses the members in
+        float64. It skips the stacks' finiteness checks when a bound on the
+        layer input fits in float32 and shows that they cannot fire there
+        (``nnet.folds_stay_finite``). It walks the output points in blocks
         whose widest activation holds about ``_FORWARD_BLOCK_ENTRIES``
-        entries, sized so that a block's arrays stay in a core's L2 cache
-        through the CBR stacks and the member fusion; each output row
+        float32 entries, sized so that a block's arrays stay in a core's L2
+        cache through the CBR stacks and the member fusion; each output row
         depends on its own group alone, so the blocks give the same bits as
         one whole-batch pass. Train mode takes every row in one block,
         because batch statistics and the backward pass need them all.
@@ -173,14 +187,14 @@ class DetectorDescriptorLayer:
         widest = max(width, *self.cfg.widths)
         rows = n_out if train else max(1, _FORWARD_BLOCK_ENTRIES // (k * widest))
         if not train:
-            stack_folds, scaled = folds if folds is not None else self.fold()
+            scaled = folds if folds is not None else self.fold()
             # Member rows hold p - centre, features and uncertainties, so
-            # no entry exceeds this bound, rounding included. np.max keeps a
-            # NaN, which keeps every check.
+            # no entry exceeds this bound, rounding to float32 included.
+            # np.max keeps a NaN, which keeps every check.
             bound = 4.0 * float(np.max([pts.max(), -pts.min(), feats.max(),
                                         -feats.min(), unc.max(), -unc.min()]))
             checked = not all(nnet.folds_stay_finite(f, bound, rows * k)
-                              for f in stack_folds)
+                              for f in scaled)
         p_out = np.empty((n_out, 3))
         d_out = np.empty((n_out, self.out_dim))
         for start in range(0, n_out, rows):
@@ -190,7 +204,7 @@ class DetectorDescriptorLayer:
             # The member rows [p - centre, feature, uncertainty], gathered
             # by one flat take per input array and written into their columns.
             member_pts = np.take(pts, members, axis=0).reshape(n, k, 3)
-            x = np.empty((n * k, width))
+            x = np.empty((n * k, width), np.float64 if train else np.float32)
             np.subtract(member_pts, pts[plan.selected[block]][:, None, :],
                         out=x.reshape(n, k, width)[:, :, :3])
             x[:, 3:3 + c] = np.take(feats, members, axis=0)
@@ -201,7 +215,7 @@ class DetectorDescriptorLayer:
             else:
                 logits = self.detector.forward_folded(x, scaled[0], checked)
                 desc_rows = self.descriptor.forward_folded(x, scaled[1], checked)
-            w = softmax_rows(logits.reshape(n, k))
+            w = softmax_rows(logits.reshape(n, k).astype(np.float64, copy=False))
             desc_feat = desc_rows.reshape(n, k, self.out_dim)
             p_out[block], d_out[block] = fuse_candidates(w, member_pts, desc_feat)
         u_out, unc_cache = self.uncertainty.forward(d_out)

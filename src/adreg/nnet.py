@@ -1,5 +1,7 @@
 """Minimal dense neural compute: pointwise linear layers, batch normalization,
 activations, and Adam, all in float64 with hand-written analytic backwards.
+The exception is the eval-mode CBR product and linear head, which run in
+the dtype of their operands: float32 in a backbone layer's eval pass.
 
 Layers are stateless between calls: ``forward`` returns ``(output, cache)``
 and ``backward(cache, grad_out)`` consumes that cache. A cache serves one
@@ -191,7 +193,10 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 
 class Linear:
-    """Shared per-row affine map: y = x @ W.T + b (a 1x1 convolution over points)."""
+    """Shared per-row affine map: y = x @ W.T + b (a 1x1 convolution over points).
+
+    The forward runs in the input's dtype: float64, or float32 as the head
+    of a backbone layer's eval-mode detector stack."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = Param(glorot_uniform(rng, out_dim, in_dim))
@@ -203,7 +208,7 @@ class Linear:
 
     def forward(self, x: np.ndarray):
         self.check_input(x)
-        out = x @ self.w.value.T
+        out = x @ self.w.value.T.astype(x.dtype, copy=False)
         out += self.b.value
         return _check_finite(out, "linear output"), x
 
@@ -442,8 +447,11 @@ def scale_folds(folds) -> list:
     product takes: ``w_t`` is the transposed view of ``w * scale[:, None]``.
     A caller that runs many row blocks, or both clouds of a pair, scales
     once for all of them and hands every product the same operands, so the
-    outputs are those of scaling per product, bit for bit. The scaled
-    weights of the full backbone's third layer hold about 1 MB."""
+    outputs are those of scaling per product, bit for bit. The pairs are
+    float64, and the products run in their dtype; a backbone layer's eval
+    pass casts them to float32 (``DetectorDescriptorLayer.fold``), and
+    there the scaled weights of the full backbone's third layer hold about
+    0.5 MB."""
     return [((w * scale[:, None]).T, b) for w, scale, b in folds]
 
 
@@ -467,21 +475,29 @@ def _folded_cbrs(x: np.ndarray, folds, checked: bool = True) -> np.ndarray:
     return _scaled_cbrs(x, scale_folds(folds), checked)
 
 
-def folds_stay_finite(folds, bound: float, rows: int) -> bool:
-    """Whether ``_folded_cbrs`` over ``folds``, on any ``rows`` input rows
-    whose entries are at most ``bound`` in magnitude, makes only finite
-    outputs with finite sums, so that its finiteness checks cannot fire.
-    A block's outputs are at most bound * max_j |scale_j| * sum_k |w_jk| +
-    max |b| in exact arithmetic, and the ReLU keeps that bound; doubling it
-    per block covers the rounding of the product, the bias and this
-    estimate, and the sums of rows * width such entries must stay below
-    2**1020, a sixteenth of the largest float. A non-finite ``bound``
-    gives False."""
-    for w, scale, b in folds:
+def folds_stay_finite(scaled, bound: float, rows: int) -> bool:
+    """Whether ``_scaled_cbrs`` over ``scaled``, the ``scale_folds`` pairs,
+    on any ``rows`` input rows whose entries are at most ``bound`` in
+    magnitude, makes only finite outputs with finite sums, so that its
+    finiteness checks cannot fire. The limits come from the dtype of the
+    pairs, which the products run in. A block's outputs are at most bound *
+    max_j sum_k |w_t[k, j]| + max |b| in exact arithmetic, and the ReLU
+    keeps that bound; doubling it per block covers the rounding of the
+    product, the bias and this estimate, and the sums of rows * width such
+    entries must stay below a sixteenth of the power of two just past the
+    dtype's largest value: 2**1020 in float64, 2**124 in float32. A
+    ``bound`` above that largest value, which input rows cast to the dtype
+    may not keep finite, or a non-finite ``bound``, gives False."""
+    info = np.finfo(np.result_type(*(a for pair in scaled for a in pair))
+                    if scaled else np.float64)
+    if not bound <= float(info.max):
+        return False
+    limit = 2.0 ** (info.maxexp - 4)
+    for w_t, b in scaled:
         with np.errstate(over="ignore"):
-            gain = float((np.abs(w).sum(axis=1) * np.abs(scale)).max())
+            gain = float(np.abs(w_t).sum(axis=0).max())
         bound = 2.0 * (bound * gain + float(np.abs(b).max()))
-        if not rows * len(b) * bound < 2.0 ** 1020:
+        if not rows * len(b) * bound < limit:
             return False
     return True
 

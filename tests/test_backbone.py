@@ -113,18 +113,21 @@ class TestBackboneForward:
 
 
 def whole_batch_forward(layer, pts, feats, unc, plan):
-    """The eval-mode layer forward over all n_out * K rows at once."""
+    """The eval-mode layer forward over all n_out * K rows at once, with the
+    member rows cast to float32 and the layer's float32 folds, as the eval
+    pass runs them."""
     n_out, k = plan.groups.shape
     member_pts = pts[plan.groups]
     rel = member_pts - pts[plan.selected][:, None, :]
     x = np.concatenate(
         [rel.reshape(n_out * k, 3),
          feats[plan.groups].reshape(n_out * k, -1),
-         unc[plan.groups].reshape(n_out * k, 1)], axis=1)
-    logits, _ = layer.detector.forward(x, False)
-    w = nnet.softmax_rows(logits.reshape(n_out, k))
+         unc[plan.groups].reshape(n_out * k, 1)], axis=1).astype(np.float32)
+    det_folds, desc_folds = layer.fold()
+    logits = layer.detector.forward_folded(x, det_folds)
+    w = nnet.softmax_rows(logits.reshape(n_out, k).astype(np.float64))
     p_out = (w[..., None] * member_pts).sum(axis=1)
-    desc_rows, _ = layer.descriptor.forward(x, False)
+    desc_rows = layer.descriptor.forward_folded(x, desc_folds)
     d_out = (w[..., None] * desc_rows.reshape(n_out, k, layer.out_dim)).sum(axis=1)
     u_rows, _ = layer.uncertainty.forward(d_out)
     return p_out, d_out, u_rows.reshape(n_out)
@@ -161,22 +164,24 @@ class TestBlockedForward:
             assert module.forward(arg, train=True)[1] is not None
 
 
-def per_block_reference(layer, pts, feats, unc, plan):
+def per_block_reference(layer, pts, feats, unc, plan, dtype=np.float32):
     """The eval-mode layer pass computed as each row block once did it:
     every CBR's batch norm folded anew, the member rows built from three
     gathers and a concatenate, and the detector and descriptor stacks run
-    one after the other."""
+    one after the other. The member rows, the folded weights and biases,
+    and the head's weight are cast to ``dtype`` where the eval pass casts
+    them to float32; the softmax and the fusion stay in float64."""
     def stack(cbr_stack, x):
         for block in cbr_stack.blocks:
             bn = block.bn
             scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
             w = block.lin.w.value * scale[:, None]
             b = (block.lin.b.value - bn.running_mean) * scale + bn.beta.value
-            x = x @ w.T
-            x += b
+            x = x @ w.T.astype(dtype)
+            x += b.astype(dtype)
             np.maximum(x, 0.0, out=x)
         if cbr_stack.head is not None:
-            x = x @ cbr_stack.head.w.value.T
+            x = x @ cbr_stack.head.w.value.T.astype(dtype)
             x += cbr_stack.head.b.value
         return x
 
@@ -194,8 +199,8 @@ def per_block_reference(layer, pts, feats, unc, plan):
         x = np.concatenate(
             [rel.reshape(n * k, 3),
              feats[groups].reshape(n * k, -1),
-             unc[groups].reshape(n * k, 1)], axis=1)
-        w = nnet.softmax_rows(stack(layer.detector, x).reshape(n, k))
+             unc[groups].reshape(n * k, 1)], axis=1).astype(dtype)
+        w = nnet.softmax_rows(stack(layer.detector, x).reshape(n, k).astype(np.float64))
         desc_feat = stack(layer.descriptor, x).reshape(n, k, layer.out_dim)
         p_out[block], d_out[block] = nnet.fuse_candidates(w, member_pts, desc_feat)
     u_out, _ = layer.uncertainty.forward(d_out)
@@ -273,6 +278,34 @@ class TestFoldedEvalPass:
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), f"layer {i + 1}"
             pts, feats, unc = got
+
+    def test_full_scale_float32_layers_match_float64_within_1e_5(self):
+        # Each layer's outputs from its float32 CBR products, against the
+        # same pass in float64 on the same input, with batch norms away from
+        # the identity: the largest deviation of each output stays within
+        # 1e-5 of that output's largest magnitude.
+        rng = np.random.default_rng(43)
+        net = bb.Backbone(np.random.default_rng(44), scale=1.0)
+        for layer in net.layers:
+            for stack in (layer.detector, layer.descriptor):
+                for block in stack.blocks:
+                    dim = block.bn.gamma.value.size
+                    block.bn.gamma.value[:] = rng.uniform(0.5, 2.0, size=dim)
+                    block.bn.beta.value[:] = rng.normal(scale=0.5, size=dim)
+                    block.bn.running_mean = rng.normal(scale=0.5, size=dim)
+                    block.bn.running_var = rng.uniform(0.1, 3.0, size=dim)
+        cloud = make_cloud(rng, 4096)
+        pts = cloud
+        feats, _ = net.lift.forward(cloud)
+        unc = np.full(len(cloud), bb.INITIAL_UNCERTAINTY)
+        for i, layer in enumerate(net.layers):
+            plan = layer.plan(pts, unc, seed=0, weighted=i > 0)
+            *got, _ = layer.forward(pts, feats, unc, plan, train=False)
+            want = per_block_reference(layer, pts, feats, unc, plan, np.float64)
+            for a, b in zip(got, want):
+                assert a.dtype == np.float64
+                assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), f"layer {i + 1}"
+            pts, feats, unc = want
 
 
 class TestBackboneGradients:

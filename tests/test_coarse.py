@@ -313,7 +313,11 @@ class TestCoarseRegister:
         transform, diag, _ = coarse.coarse_register(
             backbone.forward(cloud, seed=0), backbone.forward(cloud.copy(), seed=0),
             pred, conf, gmm_components=8, bgmm_topk=2, candidates=1, seed=0)
-        angle = np.degrees(np.arccos(np.clip((np.trace(transform.rotation) - 1) / 2, -1, 1)))
+        # The rotation angle from ||R - I||_F = 2 sqrt(2) sin(angle / 2),
+        # which stays well conditioned near the identity, where arccos of
+        # (trace - 1) / 2 reads one ulp of trace below 3 as 1.2e-6 degrees.
+        dev = np.linalg.norm(transform.rotation - np.eye(3)) / np.sqrt(8)
+        angle = np.degrees(2 * np.arcsin(min(dev, 1.0)))
         assert np.linalg.norm(transform.translation) < 1e-6
         assert angle < 1e-6
         assert diag.src_kept > 0 and diag.tgt_kept > 0

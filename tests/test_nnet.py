@@ -463,12 +463,22 @@ class TestStacks:
                 pytest.raises(FloatingPointError, match="batchnorm output"):
             block.forward(x, train=False)
 
+    @staticmethod
+    def scaled_in(dtype, folds):
+        # The product operands cast as the backbone's eval pass casts them;
+        # beyond float32's range an entry becomes infinite.
+        with np.errstate(over="ignore"):
+            return [(w_t.astype(dtype), b.astype(dtype))
+                    for w_t, b in nnet.scale_folds(folds)]
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_folds_stay_finite_only_when_no_check_can_fire(self, data):
-        # Weights, running variances and inputs across many magnitudes:
-        # wherever the bound says the checks cannot fire, the checked pass
-        # must not raise; it must also say so for ordinary magnitudes.
+        # Weights, running variances and inputs across many magnitudes, with
+        # float64 or float32 operands: wherever the bound says the checks
+        # cannot fire, the checked pass must not raise; it must also say so
+        # for ordinary magnitudes.
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         widths = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
         in_dim = data.draw(st.integers(1, 5))
@@ -480,30 +490,45 @@ class TestStacks:
         rows = data.draw(st.integers(1, 8))
         x = rng.uniform(-bound, bound, size=(rows, in_dim))
         x[rng.random(x.shape) < 0.3] = bound
-        folds = stack.fold()
+        scaled = self.scaled_in(dtype, stack.fold())
         with np.errstate(over="ignore", invalid="ignore"):
-            if nnet.folds_stay_finite(folds, bound, rows):
-                nnet._folded_cbrs(x, folds)
+            x = x.astype(dtype)
+            if nnet.folds_stay_finite(scaled, bound, rows):
+                nnet._scaled_cbrs(x, scaled)
 
     def test_folds_stay_finite_is_sound_at_its_edge(self):
         # At the largest power-of-two input bound it accepts, inputs at that
         # bound that follow the signs of the first block's weights must
-        # still pass every check.
-        rng = np.random.default_rng(22)
-        folds = self.eval_stack(rng).fold()
+        # still pass every check, with float64 and with float32 operands.
+        folds = self.eval_stack(np.random.default_rng(22)).fold()
         rows = 8
-        edge = max(e for e in range(-200, 1024)
-                   if nnet.folds_stay_finite(folds, 2.0 ** e, rows))
-        w, scale, _ = folds[0]
-        x = 2.0 ** edge * np.sign(w * scale[:, None])[np.arange(rows) % len(scale)]
-        nnet._folded_cbrs(x, folds)
+        for dtype in (np.float64, np.float32):
+            scaled = self.scaled_in(dtype, folds)
+            edge = max(e for e in range(-200, 1024)
+                       if nnet.folds_stay_finite(scaled, 2.0 ** e, rows))
+            w = scaled[0][0].T
+            x = 2.0 ** edge * np.sign(w)[np.arange(rows) % len(w)]
+            nnet._scaled_cbrs(x.astype(dtype), scaled)
 
     def test_folds_stay_finite_holds_for_ordinary_magnitudes(self):
-        rng = np.random.default_rng(21)
-        folds = self.eval_stack(rng).fold()
-        assert nnet.folds_stay_finite(folds, 1e6, 1 << 16)
-        for bound in (1e300, np.inf, np.nan):
-            assert not nnet.folds_stay_finite(folds, bound, 1 << 16)
+        folds = self.eval_stack(np.random.default_rng(21)).fold()
+        for dtype in (np.float64, np.float32):
+            scaled = self.scaled_in(dtype, folds)
+            assert nnet.folds_stay_finite(scaled, 1e6, 1 << 16)
+            for bound in (1e300, np.inf, np.nan):
+                assert not nnet.folds_stay_finite(scaled, bound, 1 << 16)
+
+    def test_folds_stay_finite_refuses_a_bound_beyond_float32(self):
+        # Weights so small that the products of any float64 input at 1e39
+        # would fit: float32 cannot hold such inputs, so the float32
+        # operands' bound says no, and the float64 operands' says yes.
+        stack = self.eval_stack(np.random.default_rng(23))
+        for block in stack.blocks:
+            block.lin.w.value *= 1e-30
+        folds = stack.fold()
+        assert nnet.folds_stay_finite(self.scaled_in(np.float64, folds), 1e39, 8)
+        assert not nnet.folds_stay_finite(self.scaled_in(np.float32, folds), 1e39, 8)
+        assert nnet.folds_stay_finite(self.scaled_in(np.float32, folds), 1e30, 8)
 
     def test_cbr_backward_from_relu_output_matches_pre_activation_mask(self):
         # The cache keeps relu(pre), not pre. With gamma = beta = 0,
