@@ -7,6 +7,16 @@ weighted fusion of member coordinates and descriptor features plus a sigmoid
 uncertainty per output point. The layer-2 output feeds the fine registration
 stage, layer 3 the coarse stage.
 
+Eval mode applies each stack's first CBR block once per input point, not
+once per group member. The block is linear in the member row [p - c, f, u]
+before its ReLU, where c is the group's centre: W [p - c; f; u] + b equals
+W [p; f; u] + (b - W_p c). So a layer call multiplies every input point's
+row [p, f, u] once, gathers the products per member, and adds one term per
+output point, as ASSANet moves PointNet++'s pointwise MLPs ahead of
+grouping (Qian et al., NeurIPS 2021). The arithmetic is the same; only the
+rounding moves. Train mode keeps the member rows, whose gradients its
+backward needs.
+
 Dtypes: train mode runs in float64 throughout, where the gradient checks
 need it. Eval mode runs each layer's detector and descriptor stacks in
 float32: their CBR products (``DetectorDescriptorLayer.fold`` casts the
@@ -34,16 +44,18 @@ UNCERTAINTY_HIDDEN = 64
 # activation holds about this many float32 entries. The budget is 512 KB
 # per activation, which bounds its scratch memory whatever the layer sizes:
 # a block's input, product and output stay within a 2 MB per-core L2 cache
-# across each elementwise pass. Blocks only split rows, so the outputs are
+# across each elementwise pass. The first blocks' per-point tables are held
+# for the whole call beside it. Blocks only split rows, so the outputs are
 # the same at every size. The eval layer forwards of a pair with fixed
 # plans, both clouds on two threads as Backbone.forward_pair runs them (FPS
-# and KNN not included), median ms per pair over round-robin rounds (15 at
-# scale 0.25 on 512-point clouds, 10 at scale 1.0 on 60k-point clouds,
-# about 12k after the voxel grid), two runs on a 2-core Xeon:
+# and KNN not included), median ms per pair over round-robin rounds (15 of
+# 4 pairs at scale 0.25 on 512-point clouds, 10 of 2 pairs at scale 1.0 on
+# 60k-point clouds, about 12-15k after the voxel grid), two runs on a
+# 2-core Xeon:
 #
 #   entries   2**15    2**16    2**17    2**18
-#   0.25      74/74    50/51    48/49    54/55
-#   1.0      231/267  157/178  131/152  131/156
+#   0.25      48/48    36/35    31/28    33/33
+#   1.0      178/165  112/107   84/87    87/85
 #
 # Each block's numpy calls release and retake the interpreter lock, which
 # the other thread also wants, so small blocks cost more with two threads.
@@ -148,8 +160,10 @@ class DetectorDescriptorLayer:
         """The eval pass's folded stacks, for ``forward``: each stack's
         ``nnet.CBRStack.fold`` scaled for the products
         (``nnet.scale_folds``) and cast to float32, the dtype the products
-        run in. An entry beyond float32's range becomes infinite, and
-        ``nnet.folds_stay_finite`` then keeps the checks that catch it."""
+        run in. ``forward`` applies each stack's first pair once per input
+        point and the rest once per group member. An entry beyond float32's
+        range becomes infinite, and ``nnet.folds_stay_finite`` then keeps
+        the checks that catch it."""
         with np.errstate(over="ignore"):
             return tuple([(w_t.astype(np.float32), b.astype(np.float32))
                           for w_t, b in nnet.scale_folds(stack.fold())]
@@ -166,9 +180,13 @@ class DetectorDescriptorLayer:
         Eval mode takes each CBR's batch norm folded into its weights,
         scaled and cast to float32 once per call (``fold``, which the caller
         may pass as ``folds`` to share it between clouds), not once per row
-        block.
-        It gathers each block's member rows into a float32 buffer, runs the
-        stacks in float32, and takes the softmax and fuses the members in
+        block. It applies both stacks' first blocks per input point: one
+        product of the float32 rows [p, f, u] with the two first weights
+        makes a table per stack, and each output point c gets a term
+        b - W_p c per stack. A block's first activations are then
+        relu(table[member] + term[group]) (``nnet.gathered_cbr``), and the
+        stacks run on from their second blocks in float32. The softmax and
+        the member fusion, on the gathered member coordinates, run in
         float64. It skips the stacks' finiteness checks when a bound on the
         layer input fits in float32 and shows that they cannot fire there
         (``nnet.folds_stay_finite``). It walks the output points in blocks
@@ -176,21 +194,36 @@ class DetectorDescriptorLayer:
         float32 entries, sized so that a block's arrays stay in a core's L2
         cache through the CBR stacks and the member fusion; each output row
         depends on its own group alone, so the blocks give the same bits as
-        one whole-batch pass. Train mode takes every row in one block,
-        because batch statistics and the backward pass need them all.
+        one whole-batch pass. Train mode gathers the member rows
+        [p - c, f, u] and takes every row in one block, because batch
+        statistics and the backward pass need them all.
         """
         if feats.shape[1] != self.in_feat_dim:
             raise ValueError(f"expected feature width {self.in_feat_dim}, got {feats.shape[1]}")
         n_out, k = plan.groups.shape
         c = self.in_feat_dim
         width = 3 + c + 1
-        widest = max(width, *self.cfg.widths)
-        rows = n_out if train else max(1, _FORWARD_BLOCK_ENTRIES // (k * widest))
+        rows = n_out if train else max(
+            1, _FORWARD_BLOCK_ENTRIES // (k * max(self.cfg.widths)))
         if not train:
             scaled = folds if folds is not None else self.fold()
-            # Member rows hold p - centre, features and uncertainties, so
-            # no entry exceeds this bound, rounding to float32 included.
-            # np.max keeps a NaN, which keeps every check.
+            # The first blocks' pre-activations W [p - centre; f; u] + b,
+            # split as W [p; f; u] + (b - W_p centre): the detector's and the
+            # descriptor's tables hold the first part per input point, their
+            # terms the second per output point.
+            first_w = np.stack([stack[0][0] for stack in scaled])
+            first_b = np.stack([stack[0][1] for stack in scaled])
+            tables = np.matmul(np.concatenate([pts, feats, unc[:, None]], axis=1,
+                                              dtype=np.float32), first_w)
+            terms = first_b[:, None] - pts[plan.selected].astype(np.float32) @ first_w[:, :3]
+            # With M the largest input magnitude, the float32 rows [p, f, u]
+            # and centres hold entries within M up to rounding. So the table
+            # entries and the terms' products are within M * gain, and each
+            # member's exact pre-activation W [p - centre; f; u] + b within
+            # 2 M * gain + max|b|: inside the bound bound * gain + max|b|
+            # that folds_stay_finite sets for a first block fed rows within
+            # ``bound`` = 4 M, and doubles to cover rounding. np.max keeps a
+            # NaN, which keeps every check.
             bound = 4.0 * float(np.max([pts.max(), -pts.min(), feats.max(),
                                         -feats.min(), unc.max(), -unc.min()]))
             checked = not all(nnet.folds_stay_finite(f, bound, rows * k)
@@ -199,22 +232,27 @@ class DetectorDescriptorLayer:
         d_out = np.empty((n_out, self.out_dim))
         for start in range(0, n_out, rows):
             block = slice(start, start + rows)
-            members = plan.groups[block].reshape(-1)
-            n = len(members) // k
-            # The member rows [p - centre, feature, uncertainty], gathered
-            # by one flat take per input array and written into their columns.
+            groups = plan.groups[block]
+            members = groups.reshape(-1)
+            n = len(groups)
             member_pts = np.take(pts, members, axis=0).reshape(n, k, 3)
-            x = np.empty((n * k, width), np.float64 if train else np.float32)
-            np.subtract(member_pts, pts[plan.selected[block]][:, None, :],
-                        out=x.reshape(n, k, width)[:, :, :3])
-            x[:, 3:3 + c] = np.take(feats, members, axis=0)
-            x[:, 3 + c] = np.take(unc, members)
             if train:
+                # The member rows [p - centre, feature, uncertainty],
+                # gathered by one flat take per input array and written
+                # into their columns.
+                x = np.empty((n * k, width))
+                np.subtract(member_pts, pts[plan.selected[block]][:, None, :],
+                            out=x.reshape(n, k, width)[:, :, :3])
+                x[:, 3:3 + c] = np.take(feats, members, axis=0)
+                x[:, 3 + c] = np.take(unc, members)
                 logits, det_cache = self.detector.forward(x, train)
                 desc_rows, desc_cache = self.descriptor.forward(x, train)
             else:
-                logits = self.detector.forward_folded(x, scaled[0], checked)
-                desc_rows = self.descriptor.forward_folded(x, scaled[1], checked)
+                logits, desc_rows = (
+                    stack.forward_folded(nnet.gathered_cbr(table, groups, term[block], checked),
+                                         folded[1:], checked)
+                    for stack, table, term, folded in zip(
+                        (self.detector, self.descriptor), tables, terms, scaled))
             w = softmax_rows(logits.reshape(n, k).astype(np.float64, copy=False))
             desc_feat = desc_rows.reshape(n, k, self.out_dim)
             p_out[block], d_out[block] = fuse_candidates(w, member_pts, desc_feat)

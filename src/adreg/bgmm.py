@@ -88,6 +88,10 @@ def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-3,
             seed: int = 0, floor: float = COVARIANCE_FLOOR) -> GmmModel:
     """EM fit from a k-means++/Lloyd initialization; deterministic given seed.
 
+    Lloyd runs at most ``KMEANS_ITERS`` iterations and stops at its fixed
+    point, the first iteration whose labels repeat the previous ones; the
+    centers are those of running all ``KMEANS_ITERS``, bit for bit.
+
     Log-likelihood per EM iteration is recorded on the returned model. EM
     stops after the M-step of the first iteration whose log-likelihood
     gained less than ``tol`` per point over the previous one (``tol * N``
@@ -106,16 +110,21 @@ def fit_gmm(cloud, n_components: int, max_iters: int = 100, tol: float = 1e-3,
     rng = np.random.default_rng(seed)
 
     centers = _kmeans_pp(pts, n_components, rng)
+    labels = _nearest_center(pts, centers)
     for _ in range(KMEANS_ITERS):
-        labels = _nearest_center(pts, centers)
         sizes = np.bincount(labels, minlength=n_components)
         sums = np.bincount((3 * labels[:, None] + np.arange(3)).ravel(), pts.ravel(),
                            3 * n_components).reshape(-1, 3)
         filled = sizes > 0
         centers[filled] = sums[filled] / sizes[filled, None]
+        previous, labels = labels, _nearest_center(pts, centers)
+        # Centers follow from the labels (an empty cluster keeps its
+        # center), so labels that repeat give the same centers and labels
+        # at every later iteration: Lloyd is at its fixed point.
+        if np.array_equal(labels, previous):
+            break
 
     covariances = np.empty((n_components, 3, 3))
-    labels = _nearest_center(pts, centers)
     sizes = np.bincount(labels, minlength=n_components)
     for j in range(n_components):
         if sizes[j] >= 2:

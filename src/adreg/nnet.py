@@ -470,6 +470,24 @@ def _scaled_cbrs(x: np.ndarray, scaled, checked: bool = True) -> np.ndarray:
     return x
 
 
+def gathered_cbr(table: np.ndarray, groups: np.ndarray, term: np.ndarray,
+                 checked: bool = True) -> np.ndarray:
+    """An eval-mode CBR block on group-member rows whose pre-activation is
+    the sum of a per-member and a per-group part: ``relu(table[groups[i,
+    j]] + term[i])`` for group i and member j, as (groups.size, width) rows
+    in group order. ``table`` holds the block's product for each input row
+    and ``term`` each group's bias and offset, so the product runs once per
+    input row, not once per member. Computed in place in the gathered
+    buffer; ``checked`` is ``_scaled_cbrs``'s."""
+    x = np.take(table, groups, axis=0)
+    x += term[:, None, :]
+    x = x.reshape(groups.size, table.shape[1])
+    if checked:
+        _check_finite(x, "batchnorm output")
+    np.maximum(x, 0.0, out=x)
+    return x
+
+
 def _folded_cbrs(x: np.ndarray, folds, checked: bool = True) -> np.ndarray:
     """``_scaled_cbrs`` over blocks given by their ``CBR.fold``."""
     return _scaled_cbrs(x, scale_folds(folds), checked)
@@ -533,9 +551,13 @@ class CBRStack:
                        checked: bool = True) -> np.ndarray:
         """The eval-mode output for ``x``, given ``scale_folds(self.fold())``:
         a caller that runs many row blocks folds and scales once for all of
-        them. ``checked`` is ``_scaled_cbrs``'s; the head always checks."""
-        if self.blocks:
-            self.blocks[0].lin.check_input(x)
+        them. ``scaled`` may also be a tail of that list, for an ``x`` that
+        is the input of its first block, when the caller has run the blocks
+        before it another way. ``checked`` is ``_scaled_cbrs``'s; the head
+        always checks."""
+        first = len(self.blocks) - len(scaled)
+        if first < len(self.blocks):
+            self.blocks[first].lin.check_input(x)
         x = _scaled_cbrs(x, scaled, checked)
         if self.head is not None:
             x, _ = self.head.forward(x)

@@ -113,21 +113,22 @@ class TestBackboneForward:
 
 
 def whole_batch_forward(layer, pts, feats, unc, plan):
-    """The eval-mode layer forward over all n_out * K rows at once, with the
-    member rows cast to float32 and the layer's float32 folds, as the eval
-    pass runs them."""
+    """The eval-mode layer forward over all n_out * K members at once, as
+    the eval pass runs it: with the layer's float32 folds, each stack's
+    first block as a per-point product gathered per member plus a per-group
+    term, and the rest of each stack on the gathered rows."""
     n_out, k = plan.groups.shape
     member_pts = pts[plan.groups]
-    rel = member_pts - pts[plan.selected][:, None, :]
-    x = np.concatenate(
-        [rel.reshape(n_out * k, 3),
-         feats[plan.groups].reshape(n_out * k, -1),
-         unc[plan.groups].reshape(n_out * k, 1)], axis=1).astype(np.float32)
-    det_folds, desc_folds = layer.fold()
-    logits = layer.detector.forward_folded(x, det_folds)
+    point_rows = np.concatenate([pts, feats, unc[:, None]], axis=1).astype(np.float32)
+    centres = pts[plan.selected].astype(np.float32)
+    out = []
+    for stack, folds in zip((layer.detector, layer.descriptor), layer.fold()):
+        (w_t, b), rest = folds[0], folds[1:]
+        z = (point_rows @ w_t)[plan.groups] + (b - centres @ w_t[:3])[:, None, :]
+        out.append(stack.forward_folded(np.maximum(z, 0.0).reshape(n_out * k, -1), rest))
+    logits, desc_rows = out
     w = nnet.softmax_rows(logits.reshape(n_out, k).astype(np.float64))
     p_out = (w[..., None] * member_pts).sum(axis=1)
-    desc_rows = layer.descriptor.forward_folded(x, desc_folds)
     d_out = (w[..., None] * desc_rows.reshape(n_out, k, layer.out_dim)).sum(axis=1)
     u_rows, _ = layer.uncertainty.forward(d_out)
     return p_out, d_out, u_rows.reshape(n_out)
@@ -165,44 +166,66 @@ class TestBlockedForward:
 
 
 def per_block_reference(layer, pts, feats, unc, plan, dtype=np.float32):
-    """The eval-mode layer pass computed as each row block once did it:
-    every CBR's batch norm folded anew, the member rows built from three
-    gathers and a concatenate, and the detector and descriptor stacks run
-    one after the other. The member rows, the folded weights and biases,
-    and the head's weight are cast to ``dtype`` where the eval pass casts
-    them to float32; the softmax and the fusion stay in float64."""
-    def stack(cbr_stack, x):
-        for block in cbr_stack.blocks:
-            bn = block.bn
-            scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
-            w = block.lin.w.value * scale[:, None]
-            b = (block.lin.b.value - bn.running_mean) * scale + bn.beta.value
-            x = x @ w.T.astype(dtype)
-            x += b.astype(dtype)
+    """The eval-mode layer pass computed with every CBR's batch norm folded
+    anew and the detector and descriptor stacks run one after the other,
+    a row block at a time after their first blocks; the softmax and the
+    fusion stay in float64.
+
+    In float32 it follows the eval pass's formula: each stack's first block
+    is the product of every input point's row [p, f, u], gathered per
+    member, plus the term b - W_p c of the member's centre c, computed for
+    every output point. The rows, the folded weights and biases, and the
+    head's weight are cast to float32 where the eval pass casts them. In
+    float64 it is the member-row formula, each first block applied to the
+    member rows [p - c, f, u], which the float32 pass is measured against."""
+    def fold(block):
+        bn = block.bn
+        scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
+        w = block.lin.w.value * scale[:, None]
+        b = (block.lin.b.value - bn.running_mean) * scale + bn.beta.value
+        return w.T.astype(dtype), b.astype(dtype)
+
+    n_out, k = plan.groups.shape
+    if dtype == np.float32:
+        # Each stack's table (per input point) and terms (per output point).
+        point_rows = np.concatenate([pts, feats, unc[:, None]], axis=1).astype(dtype)
+        centres = pts[plan.selected].astype(dtype)
+        firsts = {}
+        for cbr_stack in (layer.detector, layer.descriptor):
+            w_t, b = fold(cbr_stack.blocks[0])
+            firsts[cbr_stack] = (point_rows @ w_t, b - centres @ w_t[:3])
+
+    def stack(cbr_stack, block):
+        groups = plan.groups[block]
+        if dtype == np.float32:
+            table, term = firsts[cbr_stack]
+            x = table[groups] + term[block][:, None, :]
+        else:
+            w_t, b = fold(cbr_stack.blocks[0])
+            rel = pts[groups] - pts[plan.selected[block]][:, None, :]
+            x = np.concatenate([rel, feats[groups], unc[groups][..., None]], axis=2) @ w_t
+            x += b
+        x = np.maximum(x, 0.0).reshape(groups.size, -1)
+        for cbr in cbr_stack.blocks[1:]:
+            w_t, b = fold(cbr)
+            x = x @ w_t
+            x += b
             np.maximum(x, 0.0, out=x)
         if cbr_stack.head is not None:
             x = x @ cbr_stack.head.w.value.T.astype(dtype)
             x += cbr_stack.head.b.value
         return x
 
-    n_out, k = plan.groups.shape
-    widest = max(3 + layer.in_feat_dim + 1, *layer.cfg.widths)
-    rows = max(1, bb._FORWARD_BLOCK_ENTRIES // (k * widest))
+    rows = max(1, bb._FORWARD_BLOCK_ENTRIES // (k * max(layer.cfg.widths)))
     p_out = np.empty((n_out, 3))
     d_out = np.empty((n_out, layer.out_dim))
     for start in range(0, n_out, rows):
         block = slice(start, start + rows)
-        groups = plan.groups[block]
-        n = len(groups)
-        member_pts = pts[groups]
-        rel = member_pts - pts[plan.selected[block]][:, None, :]
-        x = np.concatenate(
-            [rel.reshape(n * k, 3),
-             feats[groups].reshape(n * k, -1),
-             unc[groups].reshape(n * k, 1)], axis=1).astype(dtype)
-        w = nnet.softmax_rows(stack(layer.detector, x).reshape(n, k).astype(np.float64))
-        desc_feat = stack(layer.descriptor, x).reshape(n, k, layer.out_dim)
-        p_out[block], d_out[block] = nnet.fuse_candidates(w, member_pts, desc_feat)
+        n = len(plan.groups[block])
+        w = nnet.softmax_rows(stack(layer.detector, block).reshape(n, k).astype(np.float64))
+        desc_feat = stack(layer.descriptor, block).reshape(n, k, layer.out_dim)
+        p_out[block], d_out[block] = nnet.fuse_candidates(w, pts[plan.groups[block]],
+                                                          desc_feat)
     u_out, _ = layer.uncertainty.forward(d_out)
     return p_out, d_out, u_out
 
@@ -280,10 +303,19 @@ class TestFoldedEvalPass:
             pts, feats, unc = got
 
     def test_full_scale_float32_layers_match_float64_within_1e_5(self):
+        self.check_float32_layers_against_float64(offset=0.0)
+
+    def test_full_scale_float32_layers_match_float64_within_1e_5_at_100_m(self):
+        # The per-point rows carry absolute coordinates, so the cloud also
+        # runs 100 m from the origin on every axis.
+        self.check_float32_layers_against_float64(offset=100.0)
+
+    @staticmethod
+    def check_float32_layers_against_float64(offset):
         # Each layer's outputs from its float32 CBR products, against the
-        # same pass in float64 on the same input, with batch norms away from
-        # the identity: the largest deviation of each output stays within
-        # 1e-5 of that output's largest magnitude.
+        # member-row pass in float64 on the same input, with batch norms
+        # away from the identity: the largest deviation of each output
+        # stays within 1e-5 of that output's largest magnitude.
         rng = np.random.default_rng(43)
         net = bb.Backbone(np.random.default_rng(44), scale=1.0)
         for layer in net.layers:
@@ -294,7 +326,7 @@ class TestFoldedEvalPass:
                     block.bn.beta.value[:] = rng.normal(scale=0.5, size=dim)
                     block.bn.running_mean = rng.normal(scale=0.5, size=dim)
                     block.bn.running_var = rng.uniform(0.1, 3.0, size=dim)
-        cloud = make_cloud(rng, 4096)
+        cloud = make_cloud(rng, 4096) + offset
         pts = cloud
         feats, _ = net.lift.forward(cloud)
         unc = np.full(len(cloud), bb.INITIAL_UNCERTAINTY)

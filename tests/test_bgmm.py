@@ -425,6 +425,35 @@ class TestWholeArrayBits:
         for name in ("weights", "means", "covariances", "assignments", "log_likelihoods"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
+    @settings(max_examples=200, deadline=None)
+    @given(pts=clouds(), n_components=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_lloyd_stop_matches_ten_iterations(self, pts, n_components, seed):
+        # With no EM iteration the model is the Lloyd initialization: its
+        # means, covariances and weights after stopping at the fixed point
+        # equal those of the reference's fixed KMEANS_ITERS iterations,
+        # repeated points and empty clusters included.
+        n_components = min(n_components, len(pts))
+        got = bgmm.fit_gmm(pts, n_components, max_iters=0, seed=seed)
+        want = reference_fit(pts, n_components, 0, seed, bgmm.COVARIANCE_FLOOR)
+        for name in ("weights", "means", "covariances", "assignments"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_lloyd_stops_once_labels_repeat(self, monkeypatch):
+        # Four tight, distant blobs: k-means++ seeds one center in each, so
+        # the first update leaves every label in place and Lloyd labels the
+        # points twice in all, not KMEANS_ITERS + 1 times.
+        rng = np.random.default_rng(3)
+        pts = (rng.normal(scale=100.0, size=(4, 3))[rng.integers(4, size=200)]
+               + rng.normal(scale=0.1, size=(200, 3)))
+        calls = []
+        nearest = bgmm._nearest_center
+        monkeypatch.setattr(bgmm, "_nearest_center",
+                            lambda *args: calls.append(1) or nearest(*args))
+        got = bgmm.fit_gmm(pts, 4, max_iters=0, seed=0)
+        assert len(calls) == 2
+        want = reference_fit(pts, 4, 0, 0, bgmm.COVARIANCE_FLOOR)
+        assert got.means.tobytes() == want.means.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_outlier_rule_with_ties(self, data):

@@ -530,6 +530,39 @@ class TestStacks:
         assert not nnet.folds_stay_finite(self.scaled_in(np.float32, folds), 1e39, 8)
         assert nnet.folds_stay_finite(self.scaled_in(np.float32, folds), 1e30, 8)
 
+    def test_gathered_cbr_is_relu_of_member_plus_group_part(self):
+        rng = np.random.default_rng(24)
+        table = rng.normal(size=(9, 4)).astype(np.float32)
+        term = rng.normal(size=(3, 4)).astype(np.float32)
+        groups = rng.integers(0, 9, size=(3, 5))
+        want = np.maximum(table[groups] + term[:, None, :], 0.0).reshape(15, 4)
+        for checked in (True, False):
+            got = nnet.gathered_cbr(table, groups, term, checked)
+            assert (got == 0.0).any() and (got > 0.0).any()
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gathered_cbr_checks_its_pre_activation(self, bad):
+        # A non-finite entry is caught before the ReLU, which would turn
+        # -inf into 0, when checked; unchecked, it passes through.
+        table = np.ones((4, 2))
+        table[2, 1] = -bad
+        groups = np.array([[0, 2], [1, 3]])
+        with pytest.raises(FloatingPointError, match="batchnorm output"):
+            nnet.gathered_cbr(table, groups, np.zeros((2, 2)))
+        nnet.gathered_cbr(table, groups, np.zeros((2, 2)), checked=False)
+
+    def test_forward_folded_runs_a_tail_of_the_stack(self):
+        rng = np.random.default_rng(25)
+        stack = self.eval_stack(rng)
+        scaled = nnet.scale_folds(stack.fold())
+        x = rng.normal(size=(7, 5))
+        first = nnet._scaled_cbrs(x, scaled[:1])
+        got = stack.forward_folded(first, scaled[1:])
+        assert got.tobytes() == stack.forward_folded(x, scaled).tobytes()
+        with pytest.raises(ValueError, match="linear expects"):
+            stack.forward_folded(x, scaled[1:])
+
     def test_cbr_backward_from_relu_output_matches_pre_activation_mask(self):
         # The cache keeps relu(pre), not pre. With gamma = beta = 0,
         # channel 0's pre-activation is exactly zero; the mask built from
