@@ -45,22 +45,26 @@ UNCERTAINTY_HIDDEN = 64
 # per activation, which bounds its scratch memory whatever the layer sizes:
 # a block's input, product and output stay within a 2 MB per-core L2 cache
 # across each elementwise pass. The first blocks' per-point tables are held
-# for the whole call beside it. Blocks only split rows, so the outputs are
-# the same at every size. The eval layer forwards of a pair with fixed
-# plans, both clouds on two threads as Backbone.forward_pair runs them (FPS
-# and KNN not included), median ms per pair over round-robin rounds (15 of
-# 4 pairs at scale 0.25 on 512-point clouds, 10 of 2 pairs at scale 1.0 on
-# 60k-point clouds, about 12-15k after the voxel grid), two runs on a
-# 2-core Xeon:
+# for the whole call beside it. Blocks only split rows, but OpenBLAS may
+# round a float32 product of few rows differently from the same rows inside
+# a larger product, so the size can move the last bits of a block with few
+# member rows. At the default layer sizes it does not: 2**11 to 2**19 gave
+# the same outputs bit for bit at scales 0.25 and 1.0. The eval layer
+# forwards of a pair with fixed plans, one cloud per process as
+# register_pair runs them (the source's in the calling process, the
+# target's in a forked one, at once; FPS and KNN not included), median ms
+# per pair over round-robin rounds (15 of 4 pairs at scale 0.25 on
+# 512-point clouds, 10 of 2 pairs at scale 1.0 on 60k-point clouds, about
+# 12-15k after the voxel grid), two runs on a 2-core Xeon:
 #
 #   entries   2**15    2**16    2**17    2**18
-#   0.25      48/48    36/35    31/28    33/33
-#   1.0      178/165  112/107   84/87    87/85
+#   0.25      40/38    33/31    31/29    31/29
+#   1.0      140/141  121/120  111/111  110/108
 #
-# Each block's numpy calls release and retake the interpreter lock, which
-# the other thread also wants, so small blocks cost more with two threads.
-# 2**18 is no faster at full scale, slower at scale 0.25, and its blocks
-# hold twice the scratch.
+# The two processes share no interpreter lock, so what small blocks cost is
+# their own numpy call overhead, no longer a wait for the other side's
+# lock. 2**18 ties at scale 0.25, gains 1-3 ms at full scale, and its
+# blocks hold twice the scratch.
 _FORWARD_BLOCK_ENTRIES = 1 << 17
 
 
@@ -192,9 +196,13 @@ class DetectorDescriptorLayer:
         (``nnet.folds_stay_finite``). It walks the output points in blocks
         whose widest activation holds about ``_FORWARD_BLOCK_ENTRIES``
         float32 entries, sized so that a block's arrays stay in a core's L2
-        cache through the CBR stacks and the member fusion; each output row
-        depends on its own group alone, so the blocks give the same bits as
-        one whole-batch pass. Train mode gathers the member rows
+        cache through the CBR stacks and the member fusion. Each output row
+        depends on its own group alone, but the block size can still move
+        its last bits: OpenBLAS may round a float32 product of few rows
+        differently from the same rows inside a larger product, as a partial
+        last block can have. At the default layer sizes it does not:
+        ``_FORWARD_BLOCK_ENTRIES`` from 2**11 to 2**19 gave the same outputs
+        bit for bit at scales 0.25 and 1.0. Train mode gathers the member rows
         [p - c, f, u] and takes every row in one block, because batch
         statistics and the backward pass need them all.
         """
@@ -381,7 +389,12 @@ class Backbone:
         that is applied, source before target at each batch norm as two
         ``forward`` calls would fold them, only after every layer has run
         on both clouds: a failure on either side leaves the running
-        statistics as they were, and no thread outlives the call."""
+        statistics as they were, and no thread outlives the call.
+
+        A training step runs its forwards here. Registration does not: it
+        calls ``forward`` once per cloud, the target's in a forked process
+        (``training.register_pair``), so neither side waits for the other's
+        interpreter lock."""
         return tuple(self._forward_clouds((src_cloud, tgt_cloud), seed, train,
                                           (None, None)))
 

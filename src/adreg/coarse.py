@@ -12,9 +12,8 @@ retrieved by descriptor-space KNN over the purified coarse superpoints; in
 feature builders. Forward/backward pairs expose exact gradients end to end.
 
 The coarse stage starts from the two clouds' backbone outputs, which the
-caller computes (``training.register_pair`` through
-``backbone.Backbone.forward_pair``, with each layer's grouping and products
-on two threads): ``coarse_register`` fits a GMM per side, rejects outliers
+caller computes (``training.register_pair``, the target's in a forked child
+process): ``coarse_register`` fits a GMM per side, rejects outliers
 bidirectionally, retrieves candidates and solves the head. It runs on the
 calling thread alone: EM is many small numpy calls, which a second thread
 would only make wait for the interpreter lock, and its stop rule

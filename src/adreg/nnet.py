@@ -120,7 +120,10 @@ def deferred_writes():
 def shared_worker():
     """Run every ``on_both_sides`` call that the calling thread makes inside
     the block on one worker thread, which ends with the block; inside an
-    outer ``shared_worker`` block, the outer one's.
+    outer ``shared_worker`` block, the outer one's. ``Backbone.forward_pair``
+    runs its layers inside one, so a training step's two forwards start one
+    thread. A registration starts none: it runs its target side in a forked
+    process (``training.register_pair``).
 
     A thread per call would end while the caller goes on: when the next
     one starts before the last has released its malloc arena, glibc opens
@@ -153,11 +156,13 @@ def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     outer record of the calling thread they wait there. An exception on
     either side re-raises here after both calls have ended, and neither
     record is applied. The calls must share no other state that either
-    writes. BLAS stays single-threaded, so this is the package's one source
-    of parallelism; it pays only where both calls spend most of their time
-    in a few large numpy calls that release the interpreter lock (products,
+    writes. BLAS stays single-threaded, so this is training's one source of
+    parallelism; it pays only where both calls spend most of their time in
+    a few large numpy calls that release the interpreter lock (products,
     gathers, sorts), because a thread running many small numpy calls mostly
-    waits for that lock.
+    waits for that lock. Registration writes no shared state, so it runs
+    its target side in a forked process instead, which shares no lock
+    (``training.register_pair``).
     """
     def recorded(args):
         with deferred_writes() as record:

@@ -12,14 +12,19 @@ parameters; ground-truth correspondences are supervision constants.
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
+import signal
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import coarse, diffusion, nnet
-from .backbone import Backbone, scaled_layer_configs
+from . import coarse, diffusion
+from .backbone import Backbone, BackboneOutput, scaled_layer_configs
 from .coarse import (DegeneracyError, coarse_head_backward, coarse_head_forward,
                      make_confidence_head, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
@@ -435,26 +440,111 @@ class RegistrationResult:
     trace: list[diffusion.TraceRow]
 
 
+def _target_front_half(model: RegistrationModel, tgt_cloud, seed: int):
+    """The target cloud's preprocessing and eval-mode backbone forward, as
+    ``(fine, coarse)``: all that registration reads of its output."""
+    pts = preprocess_cloud(tgt_cloud, model.config, seed + 1)
+    out = model.backbone.forward(pts, seed=seed)
+    return out.fine, out.coarse
+
+
+def _run_target_child(write_fd: int, model: RegistrationModel, tgt_cloud,
+                      seed: int):
+    """The forked child of ``_front_halves``: pickle ``(None, (fine,
+    coarse))``, or ``(exception, None)`` if the work raised anything, into
+    ``write_fd``, for the parent to re-raise; then end the process.
+    ``os._exit`` ends it without flushing inherited stdio or running exit
+    hooks, with status 0 only after a whole result was written."""
+    status = 1
+    try:
+        try:
+            payload = (None, _target_front_half(model, tgt_cloud, seed))
+        except BaseException as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(repr(exc))
+            payload = (exc, None)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _front_halves(model: RegistrationModel, src_cloud, tgt_cloud, seed: int):
+    """Both clouds preprocessed and through the eval-mode backbone, as
+    ``(src_out, tgt_out)``; the target's output carries only its fine and
+    coarse feature sets (no plans, no cache).
+
+    The target's half runs in a child process forked for this call, while
+    the source's runs on the calling thread. The two processes share no
+    interpreter lock, so neither waits for the other's numpy calls. The
+    child sends its feature sets back through a pipe. An exception in the
+    child re-raises here with its type and message, or as a
+    ``RuntimeError`` holding its repr when it does not pickle; a child
+    that ends without a result raises ``RuntimeError`` naming its wait
+    status. An exception on the source side re-raises here too, after the
+    child is killed. The child is reaped before this returns or raises.
+
+    The front half must stay write-free: whatever the child writes, to
+    the model or anywhere else in its copy of the process, is lost.
+    Eval-mode forwards write no model state.
+
+    It forks only on Linux, and only while the process runs one Python
+    thread, because a fork beside another thread can hand the child a lock
+    that thread held. Otherwise the two halves run one after the other on
+    the calling thread, with the same bits.
+    """
+    def source():
+        pts = preprocess_cloud(src_cloud, model.config, seed)
+        return model.backbone.forward(pts, seed=seed)
+
+    if sys.platform != "linux" or threading.active_count() != 1:
+        src_out = source()
+        fine, coarse_set = _target_front_half(model, tgt_cloud, seed)
+    else:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            _run_target_child(write_fd, model, tgt_cloud, seed)
+        os.close(write_fd)
+        result = None
+        try:
+            with open(read_fd, "rb") as pipe:
+                src_out = source()
+                result = pipe.read()
+        finally:
+            if result is None:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+        if status != 0:
+            raise RuntimeError(
+                f"the target's front half ended without a result: wait status "
+                f"{status} (exit code {os.waitstatus_to_exitcode(status)})")
+        error, sets = pickle.loads(result)
+        if error is not None:
+            raise error
+        fine, coarse_set = sets
+    return src_out, BackboneOutput(fine=fine, coarse=coarse_set, plans=(), cache=None)
+
+
 def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
                   seed: int = 0, gt: RigidTransform | None = None) -> RegistrationResult:
     """Run the full coarse + autoregressive fine pipeline on a cloud pair.
 
-    The two clouds are preprocessed at once through ``on_both_sides``,
-    then run through the eval-mode backbone together
-    (``Backbone.forward_pair``, which puts only each layer's grouping and
-    products on two threads), all on one worker thread
-    (``nnet.shared_worker``); an exception on either side re-raises here.
-    Eval-mode forwards write no shared state. A ``seed`` that is not a
-    non-negative integer raises ``ValueError`` before any work.
+    The two clouds' front halves (preprocessing and eval-mode backbone)
+    run at once, the target's in a forked child process
+    (``_front_halves``); an exception on either side re-raises here. A
+    ``seed`` that is not a non-negative integer raises ``ValueError``
+    before any work.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     cfg = model.config
 
-    with nnet.shared_worker():
-        src_pts, tgt_pts = on_both_sides(preprocess_cloud, (src_cloud, cfg, seed),
-                                         (tgt_cloud, cfg, seed + 1))
-        src_out, tgt_out = model.backbone.forward_pair(src_pts, tgt_pts, seed=seed)
+    src_out, tgt_out = _front_halves(model, src_cloud, tgt_cloud, seed)
     coarse_tf, diag, _ = coarse.coarse_register(
         src_out, tgt_out, model.predictor, model.coarse_confidence,
         gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 import weakref
 
 # adreg comes before numpy: its import sets BLAS to one thread unless the
@@ -8,6 +10,40 @@ import weakref
 import adreg  # noqa: F401
 import numpy as np
 import pytest
+
+# A fork beside a live thread can hand the child a lock that thread held.
+# os.fork calls this hook in the parent just before it forks. It counts the
+# process's threads as the kernel does, as Python 3.12's fork warning does.
+# That warning cannot fail a test: under an "error" filter os.fork drops the
+# exception and forks anyway. So the autouse fixture below fails the test
+# that forked, on every Python version.
+_FORKS_BESIDE_THREADS = []
+
+
+def _thread_count() -> int:
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("Threads:"))
+    except (OSError, StopIteration):
+        return threading.active_count()
+
+
+def _before_fork():
+    threads = _thread_count()
+    if threads > 1:
+        _FORKS_BESIDE_THREADS.append(threads)
+
+
+os.register_at_fork(before=_before_fork)
+
+
+@pytest.fixture(autouse=True)
+def no_fork_beside_threads():
+    seen = len(_FORKS_BESIDE_THREADS)
+    yield
+    assert _FORKS_BESIDE_THREADS[seen:] == [], \
+        "forked while the process ran this many threads"
 
 
 def _reachable_arrays(roots):

@@ -1,9 +1,13 @@
+import contextlib
 import gc
 import hashlib
 import itertools
+import os
 import re
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -694,3 +698,141 @@ class TestRegisterPair:
         with pytest.raises(ValueError, match=f"backbone needs at least {n_out} points"):
             training.register_pair(model, pair.source, pair.target[:n_out - 1])
         assert set(threading.enumerate()) == before
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="register_pair forks only on Linux")
+class TestForkedTargetHalf:
+    """``register_pair`` runs the target's front half in a forked child
+    while the process runs one thread, and on the calling thread otherwise."""
+
+    @staticmethod
+    def inputs():
+        cfg = tiny_config()
+        model = training.RegistrationModel(cfg)
+        pair = training.gen_synthetic_pair(np.random.default_rng(13),
+                                           cfg.train_points, 5.0, 0.5, cfg.jitter, 0)
+        return model, pair
+
+    @staticmethod
+    @contextlib.contextmanager
+    def deadline(seconds):
+        """Fail instead of hanging: SIGALRM interrupts a blocked pipe read
+        or wait on the main thread."""
+        def expire(signum, frame):
+            raise TimeoutError(f"no result within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def counted_forks(monkeypatch):
+        fork, forks = os.fork, []
+
+        def counting():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return forks
+
+    @staticmethod
+    def assert_nothing_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == 1
+
+    def test_child_error_re_raises_with_its_message(self, monkeypatch):
+        model, pair = self.inputs()
+        forks = self.counted_forks(monkeypatch)
+        n_out = model.backbone.configs[0].n_out
+        with self.deadline(60), pytest.raises(
+                ValueError, match=f"backbone needs at least {n_out} points"):
+            training.register_pair(model, pair.source, pair.target[:n_out - 1])
+        assert forks == [os.getpid()]
+        self.assert_nothing_left()
+
+    def test_child_error_that_does_not_pickle_raises_its_repr(self, monkeypatch):
+        class Unpicklable(Exception):
+            """A class local to a function pickles by reference, which fails."""
+
+        parent = os.getpid()
+        preprocess = training.preprocess_cloud
+
+        def failing_in_child(cloud, config, seed):
+            if os.getpid() != parent:
+                raise Unpicklable("target side")
+            return preprocess(cloud, config, seed)
+
+        monkeypatch.setattr(training, "preprocess_cloud", failing_in_child)
+        model, pair = self.inputs()
+        with self.deadline(60), pytest.raises(
+                RuntimeError, match=re.escape("Unpicklable('target side')")):
+            training.register_pair(model, pair.source, pair.target)
+        self.assert_nothing_left()
+
+    def test_child_that_exits_raises_naming_its_status(self, monkeypatch):
+        parent = os.getpid()
+        preprocess = training.preprocess_cloud
+
+        def exiting_in_child(cloud, config, seed):
+            if os.getpid() != parent:
+                os._exit(3)
+            return preprocess(cloud, config, seed)
+
+        monkeypatch.setattr(training, "preprocess_cloud", exiting_in_child)
+        model, pair = self.inputs()
+        with self.deadline(60), pytest.raises(
+                RuntimeError, match=r"wait status \d+ \(exit code 3\)"):
+            training.register_pair(model, pair.source, pair.target)
+        self.assert_nothing_left()
+
+    def test_source_error_kills_and_reaps_the_child(self, monkeypatch):
+        parent = os.getpid()
+        preprocess = training.preprocess_cloud
+
+        def stalling_in_child(cloud, config, seed):
+            if os.getpid() != parent:
+                time.sleep(120)
+            return preprocess(cloud, config, seed)
+
+        monkeypatch.setattr(training, "preprocess_cloud", stalling_in_child)
+        model, pair = self.inputs()
+        forks = self.counted_forks(monkeypatch)
+        n_out = model.backbone.configs[0].n_out
+        with self.deadline(30), pytest.raises(
+                ValueError, match=f"backbone needs at least {n_out} points"):
+            training.register_pair(model, pair.source[:n_out - 1], pair.target)
+        assert forks == [os.getpid()]
+        self.assert_nothing_left()
+
+    def test_no_fork_beside_a_live_thread_and_the_same_bits(self, monkeypatch):
+        model, pair = self.inputs()
+        forks = self.counted_forks(monkeypatch)
+        forked = training.register_pair(model, pair.source, pair.target, seed=2)
+        assert forks == [os.getpid()]
+
+        def no_fork():
+            raise AssertionError("register_pair forked beside a live thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            here = training.register_pair(model, pair.source, pair.target, seed=2)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        for tf in ("transform", "coarse_transform"):
+            assert getattr(here, tf).rotation.tobytes() == \
+                getattr(forked, tf).rotation.tobytes()
+            assert getattr(here, tf).translation.tobytes() == \
+                getattr(forked, tf).translation.tobytes()
+        assert here.diagnostics == forked.diagnostics
+        self.assert_nothing_left()
