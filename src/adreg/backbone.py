@@ -141,28 +141,20 @@ class DetectorDescriptorLayer:
 
     def plan(self, pts: np.ndarray, unc: np.ndarray, seed: int,
              weighted: bool) -> LayerPlan:
-        """The layer's sampling (``sample``) and grouping (``group``)."""
-        return self.group(pts, self.sample(pts, unc, seed, weighted))
-
-    def sample(self, pts: np.ndarray, unc: np.ndarray, seed: int,
-               weighted: bool) -> np.ndarray:
         """The ``n_out`` representative points (FPS, weighted by
-        ``1 - unc`` when ``weighted``), as indices into ``pts``."""
+        ``1 - unc`` when ``weighted``), each grouped with its
+        ``min(K, n_in)`` nearest input points."""
         if len(pts) < self.cfg.n_out:
             raise ValueError(
                 f"layer needs at least {self.cfg.n_out} input points, got {len(pts)}")
         weights = (1.0 - unc) if weighted else None
-        return farthest_point_sample(pts, self.cfg.n_out, weights=weights, seed=seed)
-
-    def group(self, pts: np.ndarray, selected: np.ndarray) -> LayerPlan:
-        """The plan that groups each selected point's ``min(K, n_in)``
-        nearest input points."""
+        selected = farthest_point_sample(pts, self.cfg.n_out, weights=weights, seed=seed)
         k_eff = min(self.cfg.k_group, len(pts))
         return LayerPlan(selected, knn_search(pts[selected], pts, k_eff).indices)
 
     def fold(self) -> tuple:
-        """The eval pass's folded stacks, for ``forward``: each stack's
-        ``nnet.CBRStack.fold`` scaled for the products
+        """The eval pass's folded stacks, which ``forward`` takes once per
+        call: each stack's ``nnet.CBRStack.fold`` scaled for the products
         (``nnet.scale_folds``) and cast to float32, the dtype the products
         run in. ``forward`` applies each stack's first pair once per input
         point and the rest once per group member. An entry beyond float32's
@@ -174,7 +166,7 @@ class DetectorDescriptorLayer:
                          for stack in (self.detector, self.descriptor))
 
     def forward(self, pts: np.ndarray, feats: np.ndarray, unc: np.ndarray,
-                plan: LayerPlan, train: bool, folds: tuple | None = None):
+                plan: LayerPlan, train: bool):
         """Fuse each group into an output point, descriptor and uncertainty.
 
         Returns (p_out, d_out, u_out, cache). Only train mode returns a
@@ -182,9 +174,8 @@ class DetectorDescriptorLayer:
         ``nnet.CBRStack.forward``, whose batch norms fold their batch
         statistics as they run (``nnet.BatchNorm``); it runs in float64.
         Eval mode takes each CBR's batch norm folded into its weights,
-        scaled and cast to float32 once per call (``fold``, which the caller
-        may pass as ``folds`` to share it between clouds), not once per row
-        block. It applies both stacks' first blocks per input point: one
+        scaled and cast to float32 once per call (``fold``), not once per
+        row block. It applies both stacks' first blocks per input point: one
         product of the float32 rows [p, f, u] with the two first weights
         makes a table per stack, and each output point c gets a term
         b - W_p c per stack. A block's first activations are then
@@ -214,7 +205,7 @@ class DetectorDescriptorLayer:
         rows = n_out if train else max(
             1, _FORWARD_BLOCK_ENTRIES // (k * max(self.cfg.widths)))
         if not train:
-            scaled = folds if folds is not None else self.fold()
+            scaled = self.fold()
             # The first blocks' pre-activations W [p - centre; f; u] + b,
             # split as W [p; f; u] + (b - W_p centre): the detector's and the
             # descriptor's tables hold the first part per input point, their
@@ -325,37 +316,6 @@ class BackboneOutput:
     cache: dict | None
 
 
-class _CloudRun:
-    """One cloud's way through the backbone: the current layer input and
-    what each layer so far produced."""
-
-    def __init__(self, net: "Backbone", cloud):
-        self.pts = as_points(cloud)
-        if len(self.pts) < net.configs[0].n_out:
-            raise ValueError(f"backbone needs at least {net.configs[0].n_out} "
-                             f"points, got {len(self.pts)}")
-        self.feats, self.lift_cache = net.lift.forward(self.pts)
-        self.unc = np.full(len(self.pts), INITIAL_UNCERTAINTY)
-        self.outputs, self.plans, self.caches = [], [], []
-
-    def advance(self, layer: DetectorDescriptorLayer, pick, train: bool, folds):
-        """Run ``layer`` on the current input. ``pick`` is the layer's plan,
-        or the sampled points (``DetectorDescriptorLayer.sample``) to group
-        around; ``folds`` is ``layer.fold()`` in eval mode."""
-        plan = pick if isinstance(pick, LayerPlan) else layer.group(self.pts, pick)
-        p_out, d_out, u_out, cache = layer.forward(self.pts, self.feats, self.unc,
-                                                   plan, train, folds)
-        self.outputs.append(FeatureSet(p_out, d_out, u_out))
-        self.plans.append(plan)
-        self.caches.append(cache)
-        self.pts, self.feats, self.unc = p_out, d_out, u_out
-
-    def output(self, train: bool) -> BackboneOutput:
-        cache = {"layers": self.caches, "lift": self.lift_cache} if train else None
-        return BackboneOutput(fine=self.outputs[1], coarse=self.outputs[2],
-                              plans=tuple(self.plans), cache=cache)
-
-
 class Backbone:
     """Three detector-descriptor layers; layer 2 is the fine stage, layer 3
     the coarse stage."""
@@ -370,53 +330,32 @@ class Backbone:
     def forward(self, cloud, seed: int = 0, train: bool = False,
                 plans: tuple[LayerPlan, ...] | None = None) -> BackboneOutput:
         """One cloud through the layers, sampling and grouping each layer's
-        input with ``seed``, or following ``plans`` (one per layer) where
-        given. Train-mode batch statistics are folded into the running
-        ones only after the last layer has run."""
-        (out,) = self._forward_clouds((cloud,), seed, train, (plans,))
-        return out
-
-    def forward_pair(self, src_cloud, tgt_cloud, seed: int = 0,
-                     train: bool = False) -> tuple[BackboneOutput, BackboneOutput]:
-        """``(forward(src_cloud, seed, train), forward(tgt_cloud, seed,
-        train))``, bit for bit, with the work split by what a second thread
-        speeds up. Per layer, both clouds' FPS runs on the calling thread:
-        one numpy call per picked point, so two threads would mostly wait
-        for the interpreter lock. Then ``nnet.on_both_sides`` runs each
-        cloud's KNN grouping and layer forward, whose time goes to large
-        products and gathers. An eval-mode layer folds its batch norms once
-        for both clouds. Train-mode batch statistics wait in one record
-        that is applied, source before target at each batch norm as two
-        ``forward`` calls would fold them, only after every layer has run
-        on both clouds: a failure on either side leaves the running
-        statistics as they were, and no thread outlives the call.
-
-        A training step runs its forwards here. Registration does not: it
-        calls ``forward`` once per cloud, the target's in a forked process
-        (``training.register_pair``), so neither side waits for the other's
-        interpreter lock."""
-        return tuple(self._forward_clouds((src_cloud, tgt_cloud), seed, train,
-                                          (None, None)))
-
-    def _forward_clouds(self, clouds, seed, train, plans) -> list[BackboneOutput]:
-        """The layer loop of ``forward`` (one cloud) and ``forward_pair``
-        (two), each cloud following its entry of ``plans`` unless None."""
-        runs = [_CloudRun(self, cloud) for cloud in clouds]
-        with nnet.deferred_writes() as record, nnet.shared_worker():
+        input with ``seed`` (``DetectorDescriptorLayer.plan``), or following
+        ``plans`` (one per layer) where given. Train-mode batch statistics
+        are folded into the running ones only after the last layer has run,
+        so a failure leaves them as they were. A training step runs its two
+        clouds' forwards at once (``nnet.on_both_sides``); a registration
+        runs the target's in a forked process (``training.register_pair``).
+        """
+        pts = as_points(cloud)
+        if len(pts) < self.configs[0].n_out:
+            raise ValueError(f"backbone needs at least {self.configs[0].n_out} "
+                             f"points, got {len(pts)}")
+        feats, lift_cache = self.lift.forward(pts)
+        unc = np.full(len(pts), INITIAL_UNCERTAINTY)
+        outputs, used_plans, caches = [], [], []
+        with nnet.deferred_writes() as record:
             for i, layer in enumerate(self.layers):
-                folds = None if train else layer.fold()
-                # FPS on this thread, for every cloud before any grouping.
-                picks = [layer.sample(run.pts, run.unc, seed, weighted=i > 0)
-                         if fixed is None else fixed[i]
-                         for run, fixed in zip(runs, plans)]
-                steps = [(run, layer, pick, train, folds)
-                         for run, pick in zip(runs, picks)]
-                if len(steps) == 1:
-                    _CloudRun.advance(*steps[0])
-                else:
-                    nnet.on_both_sides(_CloudRun.advance, *steps)
+                plan = (layer.plan(pts, unc, seed, weighted=i > 0)
+                        if plans is None else plans[i])
+                pts, feats, unc, layer_cache = layer.forward(pts, feats, unc, plan, train)
+                outputs.append(FeatureSet(pts, feats, unc))
+                used_plans.append(plan)
+                caches.append(layer_cache)
         record.apply()
-        return [run.output(train) for run in runs]
+        cache = {"layers": caches, "lift": lift_cache} if train else None
+        return BackboneOutput(fine=outputs[1], coarse=outputs[2],
+                              plans=tuple(used_plans), cache=cache)
 
     def backward(self, output: BackboneOutput, g_coarse, g_fine):
         """Accumulate parameter gradients given output-side gradients.

@@ -15,13 +15,14 @@ running ones. Inside ``deferred_writes`` both go to a record of the calling
 thread instead, which ``DeferredWrites.apply`` makes later. So forwards and
 backwards over several inputs may run on separate threads, and their writes
 are then made in an order the caller fixes; ``on_both_sides`` runs one call
-per cloud of a pair that way.
+per cloud of a pair that way, as a training step runs its two backbone
+forwards and then its two backwards.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -52,8 +53,7 @@ KINK_SHRINKS = 3
 #   run 2      118    112    114    116    124    131
 _ROW_BLOCK_ENTRIES = 1 << 16
 
-# Per thread: the DeferredWrites record inside ``deferred_writes``, and
-# the worker inside ``shared_worker``.
+# Per thread: the DeferredWrites record inside ``deferred_writes``.
 _LOCAL = threading.local()
 
 
@@ -116,38 +116,10 @@ def deferred_writes():
         _LOCAL.record = previous
 
 
-@contextmanager
-def shared_worker():
-    """Run every ``on_both_sides`` call that the calling thread makes inside
-    the block on one worker thread, which ends with the block; inside an
-    outer ``shared_worker`` block, the outer one's. ``Backbone.forward_pair``
-    runs its layers inside one, so a training step's two forwards start one
-    thread. A registration starts none: it runs its target side in a forked
-    process (``training.register_pair``).
-
-    A thread per call would end while the caller goes on: when the next
-    one starts before the last has released its malloc arena, glibc opens
-    another arena, and what the old one keeps stays resident. With a thread
-    per layer, the desk-scale training benchmark's peak RSS rose from about
-    340 to 400-454 MB in 4 of 16 runs beside other busy processes on a
-    2-core machine (a third arena showed in glibc's ``malloc_stats``); with
-    one worker per step, in none of 12.
-    """
-    if getattr(_LOCAL, "worker", None) is not None:
-        yield
-        return
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        _LOCAL.worker = worker
-        try:
-            yield
-        finally:
-            _LOCAL.worker = None
-
-
 def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     """``(fn(*src_args), fn(*tgt_args))``, the target's call running on a
-    worker thread (``shared_worker``'s, or one for this call) while the
-    source's runs on the calling thread.
+    worker thread started for this call while the source's runs on the
+    calling thread; the worker has ended when this returns or raises.
 
     Each call runs inside a ``deferred_writes`` record of its own, so
     neither writes a gradient or running statistic while the other runs.
@@ -163,18 +135,25 @@ def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     waits for that lock. Registration writes no shared state, so it runs
     its target side in a forked process instead, which shares no lock
     (``training.register_pair``).
+
+    A training step makes two calls, its backbone forwards and then its
+    backbone backwards, so it starts two threads. Keep it that few: a
+    thread ends while the caller goes on, and when the next starts before
+    the last has released its malloc arena, glibc opens another arena, and
+    what the old one keeps stays resident. With a thread per backbone
+    layer, the desk-scale training benchmark's peak RSS rose from about 340
+    to 400-454 MB in 4 of 16 runs beside other busy processes on a 2-core
+    machine (a third arena showed in glibc's ``malloc_stats``); with one
+    thread for a step's forwards, in none of 12.
     """
     def recorded(args):
         with deferred_writes() as record:
             return fn(*args), record
 
-    with shared_worker():
-        tgt_future = _LOCAL.worker.submit(recorded, tgt_args)
-        try:
-            src_result, src_record = recorded(src_args)
-        finally:
-            wait((tgt_future,))
-        tgt_result, tgt_record = tgt_future.result()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        tgt_future = worker.submit(recorded, tgt_args)
+        src_result, src_record = recorded(src_args)
+    tgt_result, tgt_record = tgt_future.result()
     src_record.apply()
     tgt_record.apply()
     return src_result, tgt_result
@@ -450,13 +429,12 @@ class CBR:
 def scale_folds(folds) -> list:
     """Each ``CBR.fold`` triple as the pair ``(w_t, b)`` that the eval
     product takes: ``w_t`` is the transposed view of ``w * scale[:, None]``.
-    A caller that runs many row blocks, or both clouds of a pair, scales
-    once for all of them and hands every product the same operands, so the
-    outputs are those of scaling per product, bit for bit. The pairs are
-    float64, and the products run in their dtype; a backbone layer's eval
-    pass casts them to float32 (``DetectorDescriptorLayer.fold``), and
-    there the scaled weights of the full backbone's third layer hold about
-    0.5 MB."""
+    A caller that runs many row blocks scales once for all of them and
+    hands every product the same operands, so the outputs are those of
+    scaling per product, bit for bit. The pairs are float64, and the
+    products run in their dtype; a backbone layer's eval pass casts them to
+    float32 (``DetectorDescriptorLayer.fold``), and there the scaled
+    weights of the full backbone's third layer hold about 0.5 MB."""
     return [((w * scale[:, None]).T, b) for w, scale, b in folds]
 
 

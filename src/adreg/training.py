@@ -16,7 +16,6 @@ import os
 import pickle
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -314,16 +313,19 @@ class StepContext:
 
 def make_step_context(model: RegistrationModel, pair: SyntheticPair,
                       rng: np.random.Generator):
-    """Run the step's two train-mode backbone forwards
-    (``Backbone.forward_pair``) and fix masks, candidates, supervision and
-    the noise draw from them.
+    """Run the step's two train-mode backbone forwards at once, the
+    target's on a worker thread (``nnet.on_both_sides``), and fix masks,
+    candidates, supervision and the noise draw from them. Their batch
+    statistics reach the running ones, source first, only after both
+    forwards have ended; a failure on either side leaves them as they were.
 
     Returns (context, src_backbone_out, tgt_backbone_out). The outputs carry
     the caches that the step's one ``training_loss`` call consumes.
     """
     cfg = model.config
-    src_out, tgt_out = model.backbone.forward_pair(pair.source, pair.target,
-                                                   seed=cfg.seed, train=True)
+    src_out, tgt_out = on_both_sides(model.backbone.forward,
+                                     (pair.source, cfg.seed, True),
+                                     (pair.target, cfg.seed, True))
     _, _, (src_mask, tgt_mask), coarse_cand = purified_candidates(
         src_out.coarse, tgt_out.coarse, gmm_components=cfg.gmm_components,
         bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
@@ -491,16 +493,17 @@ def _front_halves(model: RegistrationModel, src_cloud, tgt_cloud, seed: int):
     the model or anywhere else in its copy of the process, is lost.
     Eval-mode forwards write no model state.
 
-    It forks only on Linux, and only while the process runs one Python
-    thread, because a fork beside another thread can hand the child a lock
-    that thread held. Otherwise the two halves run one after the other on
-    the calling thread, with the same bits.
+    It forks only on Linux, and only while the process runs one thread as
+    the kernel counts them, BLAS threads included, because a fork beside
+    another thread can hand the child a lock that thread held. Otherwise
+    the two halves run one after the other on the calling thread, with the
+    same bits.
     """
     def source():
         pts = preprocess_cloud(src_cloud, model.config, seed)
         return model.backbone.forward(pts, seed=seed)
 
-    if sys.platform != "linux" or threading.active_count() != 1:
+    if sys.platform != "linux" or len(os.listdir("/proc/self/task")) != 1:
         src_out = source()
         fine, coarse_set = _target_front_half(model, tgt_cloud, seed)
     else:

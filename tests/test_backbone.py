@@ -420,9 +420,10 @@ class TestBackwardReleasesCache:
 
 
 class TestForwardPair:
-    """Both clouds through ``Backbone.forward_pair`` equal two ``forward``
-    calls, byte for byte: FPS on the calling thread, grouping and products
-    on two, and the train-mode writes held to the end change nothing."""
+    """A training step's two train-mode forwards at once, through
+    ``nnet.on_both_sides``, equal two sequential ``forward`` calls byte for
+    byte: outputs, plans, the gradients of their backwards and the running
+    statistics that their deferred batch-statistic writes leave."""
 
     @staticmethod
     def clouds(n_src, n_tgt):
@@ -442,23 +443,14 @@ class TestForwardPair:
 
     # The desk scale, and 1/32, where layers 2 and 3 group their whole input.
     @pytest.mark.parametrize("scale, sizes", [(0.25, (600, 731)), (1.0 / 32.0, (96, 70))])
-    def test_eval_pair_matches_two_forwards(self, scale, sizes):
-        net = bb.Backbone(np.random.default_rng(51), scale=scale)
-        src, tgt = self.clouds(*sizes)
-        got = net.forward_pair(src, tgt, seed=3)
-        for out, cloud in zip(got, (src, tgt)):
-            self.assert_same_outputs(out, net.forward(cloud, seed=3))
-            assert out.cache is None
-
-    @pytest.mark.parametrize("scale, sizes", [(0.25, (600, 731)), (1.0 / 32.0, (96, 70))])
     def test_train_pair_matches_two_forwards(self, scale, sizes):
         src, tgt = self.clouds(*sizes)
         rng = np.random.default_rng(52)
         nets, outs = [], []
-        for pair in (True, False):
+        for both_sides in (True, False):
             net = bb.Backbone(np.random.default_rng(53), scale=scale)
-            if pair:
-                out = net.forward_pair(src, tgt, seed=4, train=True)
+            if both_sides:
+                out = nnet.on_both_sides(net.forward, (src, 4, True), (tgt, 4, True))
             else:
                 out = (net.forward(src, seed=4, train=True),
                        net.forward(tgt, seed=4, train=True))
@@ -478,5 +470,11 @@ class TestForwardPair:
             assert p.grad.tobytes() == q.grad.tobytes(), name
             nonzero += bool(p.grad.any())
         assert nonzero >= len(dict(pair_net.named_params())) - len(pair_net.layers)
-        for (name, a), (_, b) in zip(pair_net.named_buffers(), single_net.named_buffers()):
+        # Every running statistic moved, so equal buffers show that both
+        # ways folded the same batch statistics in the same order.
+        fresh = bb.Backbone(np.random.default_rng(53), scale=scale)
+        for (name, a), (_, b), (_, c) in zip(pair_net.named_buffers(),
+                                             single_net.named_buffers(),
+                                             fresh.named_buffers()):
             assert a.tobytes() == b.tobytes(), name
+            assert a.tobytes() != c.tobytes(), name

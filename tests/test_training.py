@@ -5,6 +5,7 @@ import itertools
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -279,6 +280,21 @@ class TestConcurrentStep:
         pair = training.gen_synthetic_pair(rng, cfg.train_points, cfg.max_rot_deg,
                                            cfg.max_trans, cfg.jitter, 0)
         return model, training._preprocess_pair(pair, cfg, 0), rng
+
+    def test_a_step_starts_two_threads(self, monkeypatch):
+        # One for the two backbone forwards and one for the two backwards.
+        # More threads, each ending while the step goes on, let glibc open
+        # more malloc arenas that keep memory resident (nnet.on_both_sides).
+        model, pair, rng = self.step_inputs()
+        start, starts = threading.Thread.start, []
+
+        def counting(thread):
+            starts.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        assert training._train_sample(model, pair, rng, grad_scale=1.0) is not None
+        assert len(starts) == 2, starts
 
     def test_target_forward_raises_and_leaves_no_thread(self):
         model, pair, rng = self.step_inputs()
@@ -809,6 +825,45 @@ class TestForkedTargetHalf:
             training.register_pair(model, pair.source[:n_out - 1], pair.target)
         assert forks == [os.getpid()]
         self.assert_nothing_left()
+
+    # Run with a two-thread BLAS: the hook records the kernel's thread count
+    # at every fork, and the gate must see the BLAS thread that
+    # threading.active_count() does not.
+    BLAS_THREADS_SCRIPT = """
+import os
+import threading
+import adreg  # noqa: F401  (before numpy: BLAS reads its thread count then)
+import numpy as np
+from adreg import training
+from adreg.io import RunConfig
+
+threads = len(os.listdir("/proc/self/task"))
+if threads == 1:
+    print("no BLAS thread")
+    raise SystemExit(0)
+forks = []
+os.register_at_fork(before=lambda: forks.append(len(os.listdir("/proc/self/task"))))
+cfg = RunConfig(train_points=96, backbone_scale=1.0 / 32.0, gmm_components=4,
+                bgmm_topk=2)
+model = training.RegistrationModel(cfg)
+pair = training.gen_synthetic_pair(np.random.default_rng(13), 96, 5.0, 0.5, 0.03, 0)
+training.register_pair(model, pair.source, pair.target, seed=2)
+print("threads", threads, threading.active_count(), "forks", forks)
+"""
+
+    def test_no_fork_beside_blas_threads(self):
+        package_root = os.path.dirname(os.path.dirname(training.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   MKL_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", self.BLAS_THREADS_SCRIPT],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        if done.stdout.strip() == "no BLAS thread":
+            pytest.skip("this BLAS starts no thread of its own")
+        assert re.fullmatch(r"threads [2-9]\d* 1 forks \[\]", done.stdout.strip()), \
+            done.stdout
 
     def test_no_fork_beside_a_live_thread_and_the_same_bits(self, monkeypatch):
         model, pair = self.inputs()
