@@ -154,15 +154,14 @@ class DetectorDescriptorLayer:
 
     def fold(self) -> tuple:
         """The eval pass's folded stacks, which ``forward`` takes once per
-        call: each stack's ``nnet.CBRStack.fold`` scaled for the products
-        (``nnet.scale_folds``) and cast to float32, the dtype the products
-        run in. ``forward`` applies each stack's first pair once per input
-        point and the rest once per group member. An entry beyond float32's
-        range becomes infinite, and ``nnet.folds_stay_finite`` then keeps
-        the checks that catch it."""
+        call: each stack's ``nnet.CBRStack.fold`` cast to float32, the dtype
+        the products run in. ``forward`` applies each stack's first pair
+        once per input point and the rest once per group member. An entry
+        beyond float32's range becomes infinite, and
+        ``nnet.folds_stay_finite`` then keeps the checks that catch it."""
         with np.errstate(over="ignore"):
             return tuple([(w_t.astype(np.float32), b.astype(np.float32))
-                          for w_t, b in nnet.scale_folds(stack.fold())]
+                          for w_t, b in stack.fold()]
                          for stack in (self.detector, self.descriptor))
 
     def forward(self, pts: np.ndarray, feats: np.ndarray, unc: np.ndarray,
@@ -331,11 +330,12 @@ class Backbone:
                 plans: tuple[LayerPlan, ...] | None = None) -> BackboneOutput:
         """One cloud through the layers, sampling and grouping each layer's
         input with ``seed`` (``DetectorDescriptorLayer.plan``), or following
-        ``plans`` (one per layer) where given. Train-mode batch statistics
-        are folded into the running ones only after the last layer has run,
-        so a failure leaves them as they were. A training step runs its two
-        clouds' forwards at once (``nnet.on_both_sides``); a registration
-        runs the target's in a forked process (``training.register_pair``).
+        ``plans`` (one per layer) where given. Train-mode batch norms fold
+        their batch statistics as they run (``nnet.BatchNorm``). A training
+        step runs its two clouds' forwards at once through
+        ``nnet.on_both_sides``, which holds both sides' folds until both
+        forwards have ended; a registration runs the target's in a forked
+        process (``training.register_pair``).
         """
         pts = as_points(cloud)
         if len(pts) < self.configs[0].n_out:
@@ -344,15 +344,13 @@ class Backbone:
         feats, lift_cache = self.lift.forward(pts)
         unc = np.full(len(pts), INITIAL_UNCERTAINTY)
         outputs, used_plans, caches = [], [], []
-        with nnet.deferred_writes() as record:
-            for i, layer in enumerate(self.layers):
-                plan = (layer.plan(pts, unc, seed, weighted=i > 0)
-                        if plans is None else plans[i])
-                pts, feats, unc, layer_cache = layer.forward(pts, feats, unc, plan, train)
-                outputs.append(FeatureSet(pts, feats, unc))
-                used_plans.append(plan)
-                caches.append(layer_cache)
-        record.apply()
+        for i, layer in enumerate(self.layers):
+            plan = (layer.plan(pts, unc, seed, weighted=i > 0)
+                    if plans is None else plans[i])
+            pts, feats, unc, layer_cache = layer.forward(pts, feats, unc, plan, train)
+            outputs.append(FeatureSet(pts, feats, unc))
+            used_plans.append(plan)
+            caches.append(layer_cache)
         cache = {"layers": caches, "lift": lift_cache} if train else None
         return BackboneOutput(fine=outputs[1], coarse=outputs[2],
                               plans=tuple(used_plans), cache=cache)

@@ -11,10 +11,11 @@ retrieved by descriptor-space KNN over the purified coarse superpoints; in
 ``diffusion``, the weights decode a denoised correspondence over the same
 feature builders. Forward/backward pairs expose exact gradients end to end.
 
-The coarse stage starts from the two clouds' backbone outputs, which the
-caller computes (``training.register_pair``, the target's in a forked child
-process): ``coarse_register`` fits a GMM per side, rejects outliers
-bidirectionally, retrieves candidates and solves the head. It runs on the
+The coarse stage starts from the two clouds' coarse feature sets, which
+the caller computes with the backbone (``training.register_pair``, the
+target's in a forked child process): ``coarse_register`` fits a GMM per
+side, rejects outliers bidirectionally, retrieves candidates and solves
+the head. It runs on the
 calling thread alone: EM is many small numpy calls, which a second thread
 would only make wait for the interpreter lock, and its stop rule
 (``bgmm.fit_gmm``) ends most full-scale fits within a few dozen iterations.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bgmm, nnet
-from .backbone import BackboneOutput, FeatureSet
+from .backbone import FeatureSet
 from .geometry import RigidTransform, knn_search, skew
 from .nnet import fuse_candidates, fuse_candidates_backward, scatter_candidates
 
@@ -376,17 +377,18 @@ def purified_candidates(src_coarse: FeatureSet, tgt_coarse: FeatureSet, *,
     return src_pure, tgt_pure, (src_mask, tgt_mask), cand_idx
 
 
-def coarse_register(src_out: BackboneOutput, tgt_out: BackboneOutput,
+def coarse_register(src_coarse: FeatureSet, tgt_coarse: FeatureSet,
                     predictor: nnet.CBRStack, confidence: nnet.MLP,
                     *, gmm_components: int, bgmm_topk: int,
                     candidates: int, seed: int):
-    """The coarse stage after the two eval-mode backbone forwards: the
-    purified candidates, then the coarse head.
+    """The coarse stage on the two clouds' coarse feature sets from their
+    eval-mode backbone forwards: the purified candidates, then the coarse
+    head.
 
     Returns (transform, diagnostics, coarse masks).
     """
     src_pure, tgt_pure, masks, cand_idx = purified_candidates(
-        src_out.coarse, tgt_out.coarse, gmm_components=gmm_components,
+        src_coarse, tgt_coarse, gmm_components=gmm_components,
         bgmm_topk=bgmm_topk, candidates=candidates, seed=seed)
     try:
         transform, conf, _ = coarse_head_forward(
@@ -395,7 +397,7 @@ def coarse_register(src_out: BackboneOutput, tgt_out: BackboneOutput,
         raise DegeneracyError(f"coarse: {exc}") from exc
 
     diag = CoarseDiagnostics(
-        src_total=len(src_out.coarse), src_kept=int(masks[0].sum()),
-        tgt_total=len(tgt_out.coarse), tgt_kept=int(masks[1].sum()),
+        src_total=len(src_coarse), src_kept=int(masks[0].sum()),
+        tgt_total=len(tgt_coarse), tgt_kept=int(masks[1].sum()),
         mean_confidence=float(conf.mean()))
     return transform, diag, masks

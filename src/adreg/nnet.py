@@ -11,12 +11,12 @@ forward while the last gradients are built. Only train mode keeps a cache;
 an eval-mode forward is inference-only. Two writes touch shared
 model state: ``Param.accumulate`` adds a parameter gradient (callers zero
 them) and a train-mode batch norm folds its batch statistics into its
-running ones. Inside ``deferred_writes`` both go to a record of the calling
-thread instead, which ``DeferredWrites.apply`` makes later. So forwards and
-backwards over several inputs may run on separate threads, and their writes
-are then made in an order the caller fixes; ``on_both_sides`` runs one call
-per cloud of a pair that way, as a training step runs its two backbone
-forwards and then its two backwards.
+running ones. Both are made as they happen, except inside
+``deferred_writes``, where they go to a record of the calling thread that
+``DeferredWrites.apply`` makes later. ``on_both_sides`` is the one caller
+that holds writes back: it runs one call per cloud of a pair on separate
+threads, as a training step runs its two backbone forwards and then its two
+backwards, and makes their writes in a fixed order after both end.
 """
 
 from __future__ import annotations
@@ -397,20 +397,21 @@ class CBR:
             np.maximum(out, 0.0, out=out)
             return out, (lin_cache, bn_cache, out)
         self.lin.check_input(x)
-        return _folded_cbrs(x, [self.fold()]), None
+        return _scaled_cbrs(x, [self.fold()]), None
 
-    def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The eval-mode block as ``(w, scale, b)``: its output is
-        ``relu(x @ (w * scale[:, None]).T + b)``. Eval-mode batch norm is
-        affine, so it folds into the linear map: one product instead of
-        five passes over the (N, out) output. The per-channel part is
-        computed here from the current parameters and running statistics;
-        ``forward`` redoes it on every call, and a backbone layer's eval
-        pass once per layer call, so it never goes stale. ``scale_folds``
-        turns it into the product's operands."""
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eval-mode block as the product's operands ``(w_t, b)``: its
+        output is ``relu(x @ w_t + b)``, with ``w_t`` the transposed view of
+        the linear weights scaled by the batch norm's per-channel gain.
+        Eval-mode batch norm is affine, so it folds into the linear map: one
+        product instead of five passes over the (N, out) output. It is
+        computed from the current parameters and running statistics;
+        ``forward`` redoes it on every call, and a backbone layer's eval pass
+        once per layer call (``DetectorDescriptorLayer.fold`` casts it to
+        float32), so it never goes stale."""
         bn = self.bn
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
-        return (self.lin.w.value, scale,
+        return ((self.lin.w.value * scale[:, None]).T,
                 (self.lin.b.value - bn.running_mean) * scale + bn.beta.value)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
@@ -426,22 +427,10 @@ class CBR:
         yield from self.bn.named_buffers(f"{prefix}.bn")
 
 
-def scale_folds(folds) -> list:
-    """Each ``CBR.fold`` triple as the pair ``(w_t, b)`` that the eval
-    product takes: ``w_t`` is the transposed view of ``w * scale[:, None]``.
-    A caller that runs many row blocks scales once for all of them and
-    hands every product the same operands, so the outputs are those of
-    scaling per product, bit for bit. The pairs are float64, and the
-    products run in their dtype; a backbone layer's eval pass casts them to
-    float32 (``DetectorDescriptorLayer.fold``), and there the scaled
-    weights of the full backbone's third layer hold about 0.5 MB."""
-    return [((w * scale[:, None]).T, b) for w, scale, b in folds]
-
-
 def _scaled_cbrs(x: np.ndarray, scaled, checked: bool = True) -> np.ndarray:
-    """``x`` through eval-mode CBR blocks given by ``scale_folds``:
-    ``relu(x @ w_t + b)`` per block, computed in place in the product's
-    buffer, so ``x`` itself is not written. ``checked=False`` skips the
+    """``x`` through eval-mode CBR blocks given by their ``CBR.fold``
+    pairs: ``relu(x @ w_t + b)`` per block, computed in place in the
+    product's buffer, so ``x`` itself is not written. ``checked=False`` skips the
     finiteness checks, for a caller that has shown with
     ``folds_stay_finite`` that they cannot fire."""
     for w_t, b in scaled:
@@ -471,16 +460,11 @@ def gathered_cbr(table: np.ndarray, groups: np.ndarray, term: np.ndarray,
     return x
 
 
-def _folded_cbrs(x: np.ndarray, folds, checked: bool = True) -> np.ndarray:
-    """``_scaled_cbrs`` over blocks given by their ``CBR.fold``."""
-    return _scaled_cbrs(x, scale_folds(folds), checked)
-
-
 def folds_stay_finite(scaled, bound: float, rows: int) -> bool:
-    """Whether ``_scaled_cbrs`` over ``scaled``, the ``scale_folds`` pairs,
-    on any ``rows`` input rows whose entries are at most ``bound`` in
-    magnitude, makes only finite outputs with finite sums, so that its
-    finiteness checks cannot fire. The limits come from the dtype of the
+    """Whether ``_scaled_cbrs`` over ``scaled``, ``CBR.fold`` pairs, on any
+    ``rows`` input rows whose entries are at most ``bound`` in magnitude,
+    makes only finite outputs with finite sums, so that its finiteness
+    checks cannot fire. The limits come from the dtype of the
     pairs, which the products run in. A block's outputs are at most bound *
     max_j sum_k |w_t[k, j]| + max |b| in exact arithmetic, and the ReLU
     keeps that bound; doubling it per block covers the rounding of the
@@ -516,7 +500,7 @@ class CBRStack:
 
     def forward(self, x: np.ndarray, train: bool):
         if not train:
-            return self.forward_folded(x, scale_folds(self.fold())), None
+            return self.forward_folded(x, self.fold()), None
         caches = []
         for block in self.blocks:
             x, c = block.forward(x, train)
@@ -532,12 +516,12 @@ class CBRStack:
 
     def forward_folded(self, x: np.ndarray, scaled: list,
                        checked: bool = True) -> np.ndarray:
-        """The eval-mode output for ``x``, given ``scale_folds(self.fold())``:
-        a caller that runs many row blocks folds and scales once for all of
-        them. ``scaled`` may also be a tail of that list, for an ``x`` that
-        is the input of its first block, when the caller has run the blocks
-        before it another way. ``checked`` is ``_scaled_cbrs``'s; the head
-        always checks."""
+        """The eval-mode output for ``x``, given ``self.fold()`` (or those
+        pairs cast to another dtype): a caller that runs many row blocks
+        folds once for all of them. ``scaled`` may also be a tail of that
+        list, for an ``x`` that is the input of its first block, when the
+        caller has run the blocks before it another way. ``checked`` is
+        ``_scaled_cbrs``'s; the head always checks."""
         first = len(self.blocks) - len(scaled)
         if first < len(self.blocks):
             self.blocks[first].lin.check_input(x)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coarse, diffusion
-from .backbone import Backbone, BackboneOutput, scaled_layer_configs
+from .backbone import Backbone, scaled_layer_configs
 from .coarse import (DegeneracyError, coarse_head_backward, coarse_head_forward,
                      make_confidence_head, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
@@ -442,10 +442,11 @@ class RegistrationResult:
     trace: list[diffusion.TraceRow]
 
 
-def _target_front_half(model: RegistrationModel, tgt_cloud, seed: int):
-    """The target cloud's preprocessing and eval-mode backbone forward, as
-    ``(fine, coarse)``: all that registration reads of its output."""
-    pts = preprocess_cloud(tgt_cloud, model.config, seed + 1)
+def _front_half(model: RegistrationModel, cloud, seed: int, sample_seed: int):
+    """One cloud preprocessed with ``sample_seed`` and through the eval-mode
+    backbone with ``seed``, as ``(fine, coarse)``: all that registration
+    reads of the backbone's output."""
+    pts = preprocess_cloud(cloud, model.config, sample_seed)
     out = model.backbone.forward(pts, seed=seed)
     return out.fine, out.coarse
 
@@ -460,7 +461,7 @@ def _run_target_child(write_fd: int, model: RegistrationModel, tgt_cloud,
     status = 1
     try:
         try:
-            payload = (None, _target_front_half(model, tgt_cloud, seed))
+            payload = (None, _front_half(model, tgt_cloud, seed, seed + 1))
         except BaseException as exc:
             try:
                 pickle.loads(pickle.dumps(exc))
@@ -475,9 +476,10 @@ def _run_target_child(write_fd: int, model: RegistrationModel, tgt_cloud,
 
 
 def _front_halves(model: RegistrationModel, src_cloud, tgt_cloud, seed: int):
-    """Both clouds preprocessed and through the eval-mode backbone, as
-    ``(src_out, tgt_out)``; the target's output carries only its fine and
-    coarse feature sets (no plans, no cache).
+    """Both clouds' ``_front_half``, as ``((src_fine, src_coarse),
+    (tgt_fine, tgt_coarse))``. The source is preprocessed with ``seed`` and
+    the target with ``seed + 1``; both backbone forwards sample with
+    ``seed``.
 
     The target's half runs in a child process forked for this call, while
     the source's runs on the calling thread. The two processes share no
@@ -499,38 +501,32 @@ def _front_halves(model: RegistrationModel, src_cloud, tgt_cloud, seed: int):
     the two halves run one after the other on the calling thread, with the
     same bits.
     """
-    def source():
-        pts = preprocess_cloud(src_cloud, model.config, seed)
-        return model.backbone.forward(pts, seed=seed)
-
     if sys.platform != "linux" or len(os.listdir("/proc/self/task")) != 1:
-        src_out = source()
-        fine, coarse_set = _target_front_half(model, tgt_cloud, seed)
-    else:
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            os.close(read_fd)
-            _run_target_child(write_fd, model, tgt_cloud, seed)
-        os.close(write_fd)
-        result = None
-        try:
-            with open(read_fd, "rb") as pipe:
-                src_out = source()
-                result = pipe.read()
-        finally:
-            if result is None:
-                os.kill(pid, signal.SIGKILL)
-            _, status = os.waitpid(pid, 0)
-        if status != 0:
-            raise RuntimeError(
-                f"the target's front half ended without a result: wait status "
-                f"{status} (exit code {os.waitstatus_to_exitcode(status)})")
-        error, sets = pickle.loads(result)
-        if error is not None:
-            raise error
-        fine, coarse_set = sets
-    return src_out, BackboneOutput(fine=fine, coarse=coarse_set, plans=(), cache=None)
+        return (_front_half(model, src_cloud, seed, seed),
+                _front_half(model, tgt_cloud, seed, seed + 1))
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _run_target_child(write_fd, model, tgt_cloud, seed)
+    os.close(write_fd)
+    result = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            src_sets = _front_half(model, src_cloud, seed, seed)
+            result = pipe.read()
+    finally:
+        if result is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(
+            f"the target's front half ended without a result: wait status "
+            f"{status} (exit code {os.waitstatus_to_exitcode(status)})")
+    error, tgt_sets = pickle.loads(result)
+    if error is not None:
+        raise error
+    return src_sets, tgt_sets
 
 
 def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
@@ -547,13 +543,14 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     cfg = model.config
 
-    src_out, tgt_out = _front_halves(model, src_cloud, tgt_cloud, seed)
+    (src_fine, src_coarse), (tgt_fine, tgt_coarse) = _front_halves(
+        model, src_cloud, tgt_cloud, seed)
     coarse_tf, diag, _ = coarse.coarse_register(
-        src_out, tgt_out, model.predictor, model.coarse_confidence,
+        src_coarse, tgt_coarse, model.predictor, model.coarse_confidence,
         gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,
         candidates=cfg.candidates, seed=seed)
     final, buffer, trace = diffusion.autoregressive_infer(
-        coarse_tf, src_out.fine, tgt_out.fine, model.denoiser,
+        coarse_tf, src_fine, tgt_fine, model.denoiser,
         model.fine_confidence, model.schedule, k=cfg.candidates,
         steps=cfg.sampling_steps, seed=seed, temperature=cfg.decode_temperature,
         gt=gt)

@@ -311,7 +311,7 @@ class TestCoarseRegister:
         backbone, pred, conf = self.make_model()
         cloud = self.make_cloud(np.random.default_rng(21))
         transform, diag, _ = coarse.coarse_register(
-            backbone.forward(cloud, seed=0), backbone.forward(cloud.copy(), seed=0),
+            backbone.forward(cloud, seed=0).coarse, backbone.forward(cloud.copy(), seed=0).coarse,
             pred, conf, gmm_components=8, bgmm_topk=2, candidates=1, seed=0)
         # The rotation angle from ||R - I||_F = 2 sqrt(2) sin(angle / 2),
         # which stays well conditioned near the identity, where arccos of
@@ -331,7 +331,7 @@ class TestCoarseRegister:
         gt = random_rigid_transform(rng, 5.0, 0.5)
         tgt = geometry.apply_transform(gt, src)
         transform, diag, _ = coarse.coarse_register(
-            backbone.forward(src, seed=0), backbone.forward(tgt, seed=0),
+            backbone.forward(src, seed=0).coarse, backbone.forward(tgt, seed=0).coarse,
             pred, conf, gmm_components=8, bgmm_topk=2, candidates=3, seed=0)
         assert np.isfinite(transform.translation).all()
         assert 0.0 < diag.mean_confidence < 1.0

@@ -469,7 +469,7 @@ class TestStacks:
         # beyond float32's range an entry becomes infinite.
         with np.errstate(over="ignore"):
             return [(w_t.astype(dtype), b.astype(dtype))
-                    for w_t, b in nnet.scale_folds(folds)]
+                    for w_t, b in folds]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -555,7 +555,7 @@ class TestStacks:
     def test_forward_folded_runs_a_tail_of_the_stack(self):
         rng = np.random.default_rng(25)
         stack = self.eval_stack(rng)
-        scaled = nnet.scale_folds(stack.fold())
+        scaled = stack.fold()
         x = rng.normal(size=(7, 5))
         first = nnet._scaled_cbrs(x, scaled[:1])
         got = stack.forward_folded(first, scaled[1:])

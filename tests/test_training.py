@@ -335,6 +335,32 @@ class TestConcurrentStep:
         assert sorted(calls) == [False, True]
         assert self.digest(model._buffer_modules()) == buffers
 
+    def test_source_layer_two_raises_and_leaves_no_thread(self, monkeypatch):
+        # The failure comes on the calling thread after layer 1 has run on
+        # both clouds. The source's forward holds no record of its own, so
+        # on_both_sides alone keeps both sides' batch statistics from the
+        # running ones.
+        model, pair, rng = self.step_inputs()
+        layer = model.backbone.layers[1]
+        forward = layer.forward
+        caller = threading.current_thread()
+        calls = []
+
+        def failing_on_the_calling_thread(*args, **kwargs):
+            calls.append(threading.current_thread() is caller)
+            if calls[-1]:
+                raise RuntimeError("source layer 2 failed")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(layer, "forward", failing_on_the_calling_thread)
+        buffers = self.digest(model._buffer_modules())
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="source layer 2 failed"):
+            training.make_step_context(model, pair, rng)
+        assert set(threading.enumerate()) == before
+        assert sorted(calls) == [False, True]
+        assert self.digest(model._buffer_modules()) == buffers
+
     def test_target_backward_raises_and_leaves_no_thread(self, monkeypatch):
         model, pair, rng = self.step_inputs()
         ctx, so, to = training.make_step_context(model, pair, rng)
@@ -716,6 +742,17 @@ class TestRegisterPair:
         assert set(threading.enumerate()) == before
 
 
+@pytest.fixture
+def one_thread():
+    """Skip a test that needs register_pair to fork when the process already
+    runs more than one thread as the kernel counts them, as under a
+    multi-threaded BLAS: the fork gate in ``training._front_halves`` then
+    runs both halves on the calling thread."""
+    if len(os.listdir("/proc/self/task")) != 1:
+        pytest.skip("register_pair forks only while /proc/self/task holds one "
+                    "thread (training._front_halves' fork gate)")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="register_pair forks only on Linux")
 class TestForkedTargetHalf:
     """``register_pair`` runs the target's front half in a forked child
@@ -762,7 +799,7 @@ class TestForkedTargetHalf:
             os.waitpid(-1, os.WNOHANG)
         assert threading.active_count() == 1
 
-    def test_child_error_re_raises_with_its_message(self, monkeypatch):
+    def test_child_error_re_raises_with_its_message(self, monkeypatch, one_thread):
         model, pair = self.inputs()
         forks = self.counted_forks(monkeypatch)
         n_out = model.backbone.configs[0].n_out
@@ -772,7 +809,7 @@ class TestForkedTargetHalf:
         assert forks == [os.getpid()]
         self.assert_nothing_left()
 
-    def test_child_error_that_does_not_pickle_raises_its_repr(self, monkeypatch):
+    def test_child_error_that_does_not_pickle_raises_its_repr(self, monkeypatch, one_thread):
         class Unpicklable(Exception):
             """A class local to a function pickles by reference, which fails."""
 
@@ -791,7 +828,7 @@ class TestForkedTargetHalf:
             training.register_pair(model, pair.source, pair.target)
         self.assert_nothing_left()
 
-    def test_child_that_exits_raises_naming_its_status(self, monkeypatch):
+    def test_child_that_exits_raises_naming_its_status(self, monkeypatch, one_thread):
         parent = os.getpid()
         preprocess = training.preprocess_cloud
 
@@ -807,7 +844,7 @@ class TestForkedTargetHalf:
             training.register_pair(model, pair.source, pair.target)
         self.assert_nothing_left()
 
-    def test_source_error_kills_and_reaps_the_child(self, monkeypatch):
+    def test_source_error_kills_and_reaps_the_child(self, monkeypatch, one_thread):
         parent = os.getpid()
         preprocess = training.preprocess_cloud
 
@@ -865,7 +902,7 @@ print("threads", threads, threading.active_count(), "forks", forks)
         assert re.fullmatch(r"threads [2-9]\d* 1 forks \[\]", done.stdout.strip()), \
             done.stdout
 
-    def test_no_fork_beside_a_live_thread_and_the_same_bits(self, monkeypatch):
+    def test_no_fork_beside_a_live_thread_and_the_same_bits(self, monkeypatch, one_thread):
         model, pair = self.inputs()
         forks = self.counted_forks(monkeypatch)
         forked = training.register_pair(model, pair.source, pair.target, seed=2)
