@@ -8,22 +8,20 @@ and ``backward(cache, grad_out)`` consumes that cache. A cache serves one
 backward; ``CBRStack.backward`` releases each block's activations as soon as
 that block's backward has run, so a chain never holds its whole train-mode
 forward while the last gradients are built. Only train mode keeps a cache;
-an eval-mode forward is inference-only. Two writes touch shared
-model state: ``Param.accumulate`` adds a parameter gradient (callers zero
-them) and a train-mode batch norm folds its batch statistics into its
-running ones. Both are made as they happen, except inside
-``deferred_writes``, where they go to a record of the calling thread that
-``DeferredWrites.apply`` makes later. ``on_both_sides`` is the one caller
-that holds writes back: it runs one call per cloud of a pair on separate
-threads, as a training step runs its two backbone forwards and then its two
-backwards, and makes their writes in a fixed order after both end.
+an eval-mode forward is inference-only. Two writes touch shared model state:
+``Param.accumulate`` adds a parameter gradient (callers zero them) and a
+train-mode batch norm folds its batch statistics into its running ones.
+Both go through ``_write``, which makes them at once, except on a thread
+running one side of ``on_both_sides``: that runs one call per cloud of a
+pair on separate threads, as a training step runs its two backbone forwards
+and then its two backwards, holds each side's writes in a list, and makes
+them in a fixed order after both end.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,12 +51,20 @@ KINK_SHRINKS = 3
 #   run 2      118    112    114    116    124    131
 _ROW_BLOCK_ENTRIES = 1 << 16
 
-# Per thread: the DeferredWrites record inside ``deferred_writes``.
+# Per thread: the list of held writes while the thread runs one side of
+# ``on_both_sides``, else None.
 _LOCAL = threading.local()
 
 
-def _record() -> "DeferredWrites | None":
-    return getattr(_LOCAL, "record", None)
+def _write(fn, *args):
+    """Make a write to shared model state, ``fn(*args)``: at once, or, while
+    the calling thread runs one side of ``on_both_sides``, by appending it
+    to that side's list."""
+    held = getattr(_LOCAL, "held", None)
+    if held is None:
+        fn(*args)
+    else:
+        held.append((fn, args))
 
 
 class Param:
@@ -74,46 +80,9 @@ class Param:
         self.grad[...] = 0.0
 
     def accumulate(self, g: np.ndarray):
-        """Add ``g`` to the gradient, or to the calling thread's record."""
-        record = _record()
-        if record is None:
-            self.grad += g
-        elif self in record.grads:
-            record.grads[self] += g
-        else:
-            record.grads[self] = np.array(g, dtype=np.float64)
-
-
-class DeferredWrites:
-    """One thread's held-back writes to shared model state: gradients summed
-    per parameter, and batch statistics in the order their forwards ran."""
-
-    def __init__(self):
-        self.grads: dict[Param, np.ndarray] = {}
-        self.stats: list[tuple[BatchNorm, np.ndarray, np.ndarray]] = []
-
-    def apply(self):
-        """Make the held writes, through the calling thread's own record if
-        it is inside one."""
-        for p, g in self.grads.items():
-            p.accumulate(g)
-        for bn, mean, var in self.stats:
-            bn.fold_stats(mean, var)
-
-
-@contextmanager
-def deferred_writes():
-    """Hold the calling thread's gradient and batch-statistic writes in a
-    fresh ``DeferredWrites`` record, which the block yields. Threads running
-    shared layers then never write one array, and applying their records in
-    a fixed order keeps the results reproducible. Records nest: the inner
-    one's ``apply`` writes into the outer one."""
-    previous = _record()
-    _LOCAL.record = DeferredWrites()
-    try:
-        yield _LOCAL.record
-    finally:
-        _LOCAL.record = previous
+        """``self.grad += g``, through ``_write``; a held write keeps ``g``
+        itself, so the caller must not change it afterwards."""
+        _write(np.add, self.grad, g, self.grad)
 
 
 def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
@@ -121,16 +90,16 @@ def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     worker thread started for this call while the source's runs on the
     calling thread; the worker has ended when this returns or raises.
 
-    Each call runs inside a ``deferred_writes`` record of its own, so
-    neither writes a gradient or running statistic while the other runs.
-    After both end, the source's record is applied, then the target's: the
-    sums come out as two sequential calls would make them, and inside an
-    outer record of the calling thread they wait there. An exception on
-    either side re-raises here after both calls have ended, and neither
-    record is applied. The calls must share no other state that either
-    writes. BLAS stays single-threaded, so this is training's one source of
-    parallelism; it pays only where both calls spend most of their time in
-    a few large numpy calls that release the interpreter lock (products,
+    Each call holds its writes to shared model state (``_write``) in a list
+    of its own, so neither writes a gradient or running statistic while the
+    other runs. After both end, the source's list is replayed in order, then
+    the target's: every write comes out as two sequential calls would make
+    it. An exception on either side re-raises here after both calls have
+    ended, and neither list is replayed. The calls must share no other
+    state that either writes, and must not call ``on_both_sides``
+    themselves. BLAS stays single-threaded, so this is training's one source
+    of parallelism; it pays only where both calls spend most of their time
+    in a few large numpy calls that release the interpreter lock (products,
     gathers, sorts), because a thread running many small numpy calls mostly
     waits for that lock. Registration writes no shared state, so it runs
     its target side in a forked process instead, which shares no lock
@@ -146,16 +115,19 @@ def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     machine (a third arena showed in glibc's ``malloc_stats``); with one
     thread for a step's forwards, in none of 12.
     """
-    def recorded(args):
-        with deferred_writes() as record:
-            return fn(*args), record
+    def held(args):
+        _LOCAL.held = []
+        try:
+            return fn(*args), _LOCAL.held
+        finally:
+            _LOCAL.held = None
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        tgt_future = worker.submit(recorded, tgt_args)
-        src_result, src_record = recorded(src_args)
-    tgt_result, tgt_record = tgt_future.result()
-    src_record.apply()
-    tgt_record.apply()
+        tgt_future = worker.submit(held, tgt_args)
+        src_result, src_writes = held(src_args)
+    tgt_result, tgt_writes = tgt_future.result()
+    for write, args in src_writes + tgt_writes:
+        write(*args)
     return src_result, tgt_result
 
 
@@ -218,8 +190,9 @@ class BatchNorm:
     """Per-channel batch normalization with running statistics for eval mode.
 
     A train-mode forward folds its batch mean and variance into the running
-    statistics through ``fold_stats``, so inside ``deferred_writes`` the fold
-    waits for the record's ``apply``. An eval-mode forward returns no cache.
+    statistics through ``fold_stats``, a write to shared model state
+    (``_write``) that ``on_both_sides`` holds until both its sides end. An
+    eval-mode forward returns no cache.
 
     In train mode the reductions (mean, variance, the gamma and beta
     gradients and the backward's two channel sums) run over the whole batch;
@@ -260,16 +233,11 @@ class BatchNorm:
             np.multiply(self.gamma.value, xb, out=ob)
             ob += self.beta.value
             _check_finite(ob, "batchnorm output")
-        self.fold_stats(mean, var)
+        _write(self.fold_stats, mean, var)
         return out, (xhat, inv_std, len(x))
 
     def fold_stats(self, mean: np.ndarray, var: np.ndarray):
-        """Fold a batch's mean and variance into the running statistics, or
-        hold them in the calling thread's record."""
-        record = _record()
-        if record is not None:
-            record.stats.append((self, mean, var))
-            return
+        """Fold a batch's mean and variance into the running statistics."""
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
         self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
 

@@ -505,7 +505,12 @@ def _front_halves(model: RegistrationModel, src_cloud, tgt_cloud, seed: int):
         return (_front_half(model, src_cloud, seed, seed),
                 _front_half(model, tgt_cloud, seed, seed + 1))
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         os.close(read_fd)
         _run_target_child(write_fd, model, tgt_cloud, seed)

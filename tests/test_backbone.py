@@ -423,7 +423,7 @@ class TestForwardPair:
     """A training step's two train-mode forwards at once, through
     ``nnet.on_both_sides``, equal two sequential ``forward`` calls byte for
     byte: outputs, plans, the gradients of their backwards and the running
-    statistics that their deferred batch-statistic writes leave."""
+    statistics that their held batch-statistic writes leave."""
 
     @staticmethod
     def clouds(n_src, n_tgt):

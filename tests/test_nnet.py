@@ -210,54 +210,52 @@ class TestTrainBatchNormBits:
                 bn.forward(x, train=True)
 
 
-class TestDeferredWrites:
+class TestOnBothSides:
     @staticmethod
-    def state(stack):
-        grads = [(name, p.grad.tobytes()) for name, p in stack.named_params("s")]
-        return grads + [(name, b.tobytes()) for name, b in stack.named_buffers("s")]
+    def side(p, g, bn, x):
+        """Two additions of ``g`` and a train-mode batch norm; returns the
+        running mean the side saw after its fold."""
+        p.accumulate(g)
+        p.accumulate(g)
+        bn.forward(x, train=True)
+        return bn.running_mean.copy()
 
-    @staticmethod
-    def train_step(stack, x, grad_out):
-        _, cache = stack.forward(x, train=True)
-        stack.backward(cache, grad_out)
+    def test_writes_come_out_as_two_sequential_calls(self):
+        # 1.0 + 2**-53 rounds back to 1.0, so adding it twice leaves 1.0,
+        # where adding the side's summed 2**-52 would not.
+        tiny, zero = np.full(3, 2.0 ** -53), np.zeros(3)
+        rng = np.random.default_rng(43)
+        src_x, tgt_x = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
+        direct, both = (nnet.Param(np.zeros(3)) for _ in range(2))
+        direct_bn, both_bn = nnet.BatchNorm(3), nnet.BatchNorm(3)
+        direct.grad[...] = both.grad[...] = 1.0
+        self.side(direct, tiny, direct_bn, src_x)
+        self.side(direct, zero, direct_bn, tgt_x)
 
-    def test_record_holds_train_writes_until_apply(self):
-        rng = np.random.default_rng(40)
-        x = rng.normal(size=(12, 5))
-        grad_out = rng.normal(size=(12, 3))
-        direct, deferred = (nnet.CBRStack(5, (8, 6), 3, np.random.default_rng(41))
-                            for _ in range(2))
-        # Nonzero starting gradients, so the order of the additions shows.
-        for stack in (direct, deferred):
-            for _, p in stack.named_params("s"):
-                p.grad[...] = 0.25
-        self.train_step(direct, x, grad_out)
+        seen = nnet.on_both_sides(self.side, (both, tiny, both_bn, src_x),
+                                  (both, zero, both_bn, tgt_x))
+        # Neither side's fold was made while the sides ran.
+        assert all((mean == 0.0).all() for mean in seen)
+        assert both.grad.tobytes() == direct.grad.tobytes()
+        assert (both.grad == 1.0).all()
+        assert both_bn.running_mean.tobytes() == direct_bn.running_mean.tobytes()
+        assert both_bn.running_var.tobytes() == direct_bn.running_var.tobytes()
 
-        before = self.state(deferred)
-        with nnet.deferred_writes() as record:
-            self.train_step(deferred, x, grad_out)
-        assert self.state(deferred) == before
-        assert record.grads and record.stats
-        record.apply()
-        assert self.state(deferred) == self.state(direct)
+    @pytest.mark.parametrize("failing", ["source", "target"])
+    def test_a_failing_side_writes_nothing_and_frees_the_calling_thread(self, failing):
+        p = nnet.Param(np.zeros(2))
 
-    def test_nested_record_applies_into_the_outer_one(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=(9, 5))
-        grad_out = rng.normal(size=(9, 3))
-        stack = nnet.CBRStack(5, (4,), 3, rng)
-        before = self.state(stack)
-        with nnet.deferred_writes() as outer:
-            with nnet.deferred_writes() as inner:
-                self.train_step(stack, x, grad_out)
-            assert not outer.grads and not outer.stats
-            inner.apply()
-            assert self.state(stack) == before
-        assert [id(p) for p in outer.grads] == [id(p) for p in inner.grads]
-        assert [s[0] for s in outer.stats] == [s[0] for s in inner.stats]
-        # Outside every record, a write goes straight to the model.
-        self.train_step(stack, x, grad_out)
-        assert self.state(stack) != before
+        def side(name):
+            p.accumulate(np.ones(2))
+            if name == failing:
+                raise ValueError(f"{name} failed")
+
+        with pytest.raises(ValueError, match=f"{failing} failed"):
+            nnet.on_both_sides(side, ("source",), ("target",))
+        assert (p.grad == 0.0).all()
+        # The calling thread holds no list any more: a write is made at once.
+        p.accumulate(np.ones(2))
+        assert (p.grad == 1.0).all()
 
 
 class TestActivations:

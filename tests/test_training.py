@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import hashlib
 import itertools
@@ -337,9 +338,9 @@ class TestConcurrentStep:
 
     def test_source_layer_two_raises_and_leaves_no_thread(self, monkeypatch):
         # The failure comes on the calling thread after layer 1 has run on
-        # both clouds. The source's forward holds no record of its own, so
-        # on_both_sides alone keeps both sides' batch statistics from the
-        # running ones.
+        # both clouds. Only on_both_sides holds writes back, and after a
+        # failure it replays neither side's list, so neither side's batch
+        # statistics reach the running ones.
         model, pair, rng = self.step_inputs()
         layer = model.backbone.layers[1]
         forward = layer.forward
@@ -861,6 +862,19 @@ class TestForkedTargetHalf:
                 ValueError, match=f"backbone needs at least {n_out} points"):
             training.register_pair(model, pair.source[:n_out - 1], pair.target)
         assert forks == [os.getpid()]
+        self.assert_nothing_left()
+
+    def test_failed_fork_closes_both_pipe_ends(self, monkeypatch, one_thread):
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        model, pair = self.inputs()
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with pytest.raises(OSError, match="temporarily unavailable"):
+                training.register_pair(model, pair.source, pair.target)
+        assert len(os.listdir("/proc/self/fd")) == fds
         self.assert_nothing_left()
 
     # Run with a two-thread BLAS: the hook records the kernel's thread count
