@@ -36,6 +36,8 @@ from .geometry import as_points, farthest_point_sample, knn_search
 from .nnet import (fuse_candidates, fuse_candidates_backward, scatter_candidates,
                    softmax_rows, softmax_rows_backward)
 
+NO_CACHE = ("backbone output has no cache: its forward ran in eval mode, or an "
+            "earlier backward consumed the cache")
 # Uncertainty channel fed to the first layer, which has no estimate yet.
 INITIAL_UNCERTAINTY = 0.5
 LIFT_WIDTH = 32
@@ -370,8 +372,7 @@ class Backbone:
         ``ValueError``.
         """
         if output.cache is None:
-            raise ValueError("backbone output has no cache: its forward ran in eval "
-                             "mode, or an earlier backward consumed the cache")
+            raise ValueError(NO_CACHE)
         cache, output.cache = output.cache, None
         caches = cache["layers"]
         fp, fd, fu = g_fine

@@ -6,14 +6,15 @@ feature functions of ``coarse`` (the descriptor block without the similarity
 channel). Inference is autoregressive: each retained diffusion step turns
 the correspondence into candidate weights, runs the correspondence head's
 decode chain (``coarse.decode_forward``: fusion, confidence, weighted SVD)
-to get a rigid transform, composes it onto the accumulated history,
-re-warps the source, and DDIM-steps the correspondence. Ground-truth
-correspondences come from a Sinkhorn-refined distance matrix.
+to get a rigid increment, composes it onto the pose so far, re-warps the
+source, and DDIM-steps the correspondence; each step leaves a ``FineStep``.
+Inference takes no ground truth. Training's ground-truth correspondences
+come from a Sinkhorn-refined distance matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from . import nnet
 from .backbone import FeatureSet
 from .coarse import (DegeneracyError, decode_backward, decode_forward,
                      descriptor_features, geometric_features)
-from .geometry import (RigidTransform, apply_transform, compose, knn_search,
-                       transform_errors)
+from .geometry import RigidTransform, apply_transform, compose, knn_search
 from .nnet import scatter_candidates
 
 TIME_EMBED_DIM = 16
@@ -233,30 +233,15 @@ def correspondence_to_transform_backward(cache, confidence: nnet.MLP,
 # Autoregressive inference
 
 
-@dataclass
-class TransformBuffer:
-    """Per-step transforms and their running product, seeded by the coarse
-    transform."""
+@dataclass(frozen=True)
+class FineStep:
+    """One fine step: its DDIM timestep, decoded increment, the pose
+    ``compose(increment, previous pose)`` (the coarse transform precedes the
+    first), and the mean absolute predicted clean correspondence."""
 
-    initial: RigidTransform
-    steps: list[RigidTransform] = field(default_factory=list)
-    cumulative: list[RigidTransform] = field(default_factory=list)
-
-    def push(self, step: RigidTransform):
-        prev = self.cumulative[-1] if self.cumulative else self.initial
-        self.steps.append(step)
-        self.cumulative.append(compose(step, prev))
-
-    @property
-    def final(self) -> RigidTransform:
-        return self.cumulative[-1] if self.cumulative else self.initial
-
-
-@dataclass
-class TraceRow:
-    step: int
-    rte: float
-    rre_deg: float
+    t: int
+    increment: RigidTransform
+    pose: RigidTransform
     mean_abs_c0: float
 
 
@@ -265,14 +250,14 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
                          confidence: nnet.MLP, schedule: NoiseSchedule,
                          k: int, steps: int, seed: int = 0,
                          temperature: float = DECODE_TEMPERATURE,
-                         denoise_fn=None, gt: RigidTransform | None = None):
+                         denoise_fn=None) -> list[FineStep]:
     """Run Algorithm-style autoregressive refinement from the coarse transform.
 
     ``denoise_fn(c_t, t, f_g, f_d) -> c0_hat`` overrides the network (used by
     oracle tests). Candidates are fixed at the start from the coarsely warped
     source; each step re-warps the full fine source with the accumulated
-    transform and rebuilds the geometric conditioning. Returns
-    (final transform, buffer, trace rows).
+    pose and rebuilds the geometric conditioning. Returns one ``FineStep``
+    per step; the last one's ``pose`` is the result.
     """
     if steps < 1:
         raise ValueError("need at least one sampling step")
@@ -280,14 +265,14 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
     src_pts = fine_src.points
     tgt_pts = fine_tgt.points
 
-    buffer = TransformBuffer(initial=coarse_tf)
-    warped = apply_transform(coarse_tf, src_pts)
+    pose = coarse_tf
+    records: list[FineStep] = []
+    warped = apply_transform(pose, src_pts)
     cand_idx = knn_search(warped, tgt_pts, k).indices
     f_d, _ = descriptor_features(fine_src, fine_tgt, cand_idx, with_similarity=False)
 
     c_t = rng.standard_normal(size=(len(src_pts), k))
     timesteps = ddim_timesteps(schedule.n_steps, steps)
-    trace: list[TraceRow] = []
     for t, t_prev in zip(timesteps[:-1], timesteps[1:]):
         f_g, _ = geometric_features(warped, tgt_pts, cand_idx)
         if denoise_fn is not None:
@@ -299,17 +284,15 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
             raise NumericalError(
                 f"non-finite correspondence at step t={int(t)}",
                 diagnostics={"step": int(t), "bad": int((~np.isfinite(c0_hat)).sum()),
-                             "steps_done": len(buffer.steps)})
+                             "steps_done": len(records)})
         try:
-            step_tf, _ = correspondence_to_transform(
+            increment, _ = correspondence_to_transform(
                 c0_hat, warped, cand_idx, tgt_pts, fine_tgt.descriptors,
                 confidence, temperature)
         except DegeneracyError as exc:
             raise DegeneracyError(f"fine step t={int(t)}: {exc}") from exc
-        buffer.push(step_tf)
-        warped = apply_transform(buffer.final, src_pts)
-        rte, rre = (transform_errors(buffer.final, gt) if gt is not None
-                    else (float("nan"), float("nan")))
-        trace.append(TraceRow(int(t), rte, rre, float(np.abs(c0_hat).mean())))
+        pose = compose(increment, pose)
+        records.append(FineStep(int(t), increment, pose, float(np.abs(c0_hat).mean())))
+        warped = apply_transform(pose, src_pts)
         c_t = ddim_step(schedule, c_t, c0_hat, int(t), int(t_prev))
-    return buffer.final, buffer, trace
+    return records

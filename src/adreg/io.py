@@ -402,6 +402,9 @@ def load_checkpoint(path) -> Checkpoint:
         except UnicodeDecodeError:
             raise CheckpointError(
                 f"{path}: tensor name at byte {offset} is not valid UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(
+                f"{path}: tensor '{name}' at byte {offset} repeats an earlier tensor")
         offset += name_len
         (count,) = struct.unpack_from("<Q", data, offset)
         offset += 8

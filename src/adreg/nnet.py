@@ -348,8 +348,9 @@ def scatter_candidates(out: np.ndarray, cand_idx: np.ndarray,
 class CBR:
     """Pointwise convolution + batch norm + ReLU, the basic network block.
 
-    In train mode the block goes through ``lin.forward``/``lin.backward``
-    and ``bn.forward``/``bn.backward``, and applies the ReLU in place on the
+    ``forward`` is train mode only (eval mode runs ``fold`` in ``CBRStack``):
+    it goes through ``lin.forward``/``lin.backward`` and
+    ``bn.forward``/``bn.backward``, and applies the ReLU in place on the
     batch norm's output, which no one else holds; its input is not written.
     The cache keeps the ReLU output for the backward mask, not the
     pre-activation: the output is held anyway as the next layer's input."""
@@ -358,14 +359,11 @@ class CBR:
         self.lin = Linear(in_dim, out_dim, rng)
         self.bn = BatchNorm(out_dim)
 
-    def forward(self, x: np.ndarray, train: bool):
-        if train:
-            z, lin_cache = self.lin.forward(x)
-            out, bn_cache = self.bn.forward(z, train)
-            np.maximum(out, 0.0, out=out)
-            return out, (lin_cache, bn_cache, out)
-        self.lin.check_input(x)
-        return _scaled_cbrs(x, [self.fold()]), None
+    def forward(self, x: np.ndarray):
+        z, lin_cache = self.lin.forward(x)
+        out, bn_cache = self.bn.forward(z, train=True)
+        np.maximum(out, 0.0, out=out)
+        return out, (lin_cache, bn_cache, out)
 
     def fold(self) -> tuple[np.ndarray, np.ndarray]:
         """The eval-mode block as the product's operands ``(w_t, b)``: its
@@ -374,9 +372,9 @@ class CBR:
         Eval-mode batch norm is affine, so it folds into the linear map: one
         product instead of five passes over the (N, out) output. It is
         computed from the current parameters and running statistics;
-        ``forward`` redoes it on every call, and a backbone layer's eval pass
-        once per layer call (``DetectorDescriptorLayer.fold`` casts it to
-        float32), so it never goes stale."""
+        an eval ``CBRStack.forward`` redoes it on every call, and a backbone
+        layer's eval pass once per layer call (``DetectorDescriptorLayer.fold``
+        casts it to float32), so it never goes stale."""
         bn = self.bn
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
         return ((self.lin.w.value * scale[:, None]).T,
@@ -471,7 +469,7 @@ class CBRStack:
             return self.forward_folded(x, self.fold()), None
         caches = []
         for block in self.blocks:
-            x, c = block.forward(x, train)
+            x, c = block.forward(x)
             caches.append(c)
         if self.head is not None:
             x, c = self.head.forward(x)

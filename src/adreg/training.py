@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coarse, diffusion
-from .backbone import Backbone, scaled_layer_configs
+from .backbone import NO_CACHE, Backbone, scaled_layer_configs
 from .coarse import (DegeneracyError, coarse_head_backward, coarse_head_forward,
                      make_confidence_head, purified_candidates, purify)
 from .geometry import (RigidTransform, apply_transform, as_points, compose,
@@ -213,10 +213,6 @@ class RegistrationModel:
         for prefix, module in self._modules():
             yield from module.named_buffers(prefix)
 
-    def zero_grads(self):
-        for p in self.named_params().values():
-            p.zero_grad()
-
     def to_checkpoint(self) -> Checkpoint:
         """The tensors ``from_checkpoint`` rebuilds this model from: every
         parameter, batch-norm buffer and config field."""
@@ -356,14 +352,16 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
     ``Param.grad`` source first, then target, as two sequential backwards
     would. A backward consumes its output's cache (``Backbone.backward``):
     with gradients, the outputs come back with ``cache`` None, and passing
-    them in again raises ``ValueError``.
+    them in again raises ``ValueError`` before anything is written.
     """
     if compute_grads and not train:
         raise ValueError("gradients need the train-mode forward; "
                          "eval mode keeps no caches")
+    src_out, tgt_out = outputs
+    if compute_grads and (src_out.cache is None or tgt_out.cache is None):
+        raise ValueError(NO_CACHE)
     cfg = model.config
     gt = pair.transform
-    src_out, tgt_out = outputs
     src_pure = purify(src_out.coarse, ctx.src_mask)
     tgt_pure = purify(tgt_out.coarse, ctx.tgt_mask)
     est_coarse, _, coarse_cache = coarse_head_forward(
@@ -435,11 +433,13 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
 
 @dataclass
 class RegistrationResult:
+    """``transform`` is ``fine_steps[-1].pose``. Registration takes no ground
+    truth: per-step errors are ``geometry.transform_errors(step.pose, gt)``."""
+
     transform: RigidTransform
     coarse_transform: RigidTransform
     diagnostics: coarse.CoarseDiagnostics
-    buffer: diffusion.TransformBuffer
-    trace: list[diffusion.TraceRow]
+    fine_steps: list[diffusion.FineStep]
 
 
 def _front_half(model: RegistrationModel, cloud, seed: int, sample_seed: int):
@@ -535,7 +535,7 @@ def _front_halves(model: RegistrationModel, src_cloud, tgt_cloud, seed: int):
 
 
 def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
-                  seed: int = 0, gt: RigidTransform | None = None) -> RegistrationResult:
+                  seed: int = 0) -> RegistrationResult:
     """Run the full coarse + autoregressive fine pipeline on a cloud pair.
 
     The two clouds' front halves (preprocessing and eval-mode backbone)
@@ -554,12 +554,11 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
         src_coarse, tgt_coarse, model.predictor, model.coarse_confidence,
         gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,
         candidates=cfg.candidates, seed=seed)
-    final, buffer, trace = diffusion.autoregressive_infer(
+    fine_steps = diffusion.autoregressive_infer(
         coarse_tf, src_fine, tgt_fine, model.denoiser,
         model.fine_confidence, model.schedule, k=cfg.candidates,
-        steps=cfg.sampling_steps, seed=seed, temperature=cfg.decode_temperature,
-        gt=gt)
-    return RegistrationResult(final, coarse_tf, diag, buffer, trace)
+        steps=cfg.sampling_steps, seed=seed, temperature=cfg.decode_temperature)
+    return RegistrationResult(fine_steps[-1].pose, coarse_tf, diag, fine_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -156,13 +156,15 @@ class TestBlockedForward:
         cloud = make_cloud(rng, 256)
         assert net.forward(cloud, seed=0, train=False).cache is None
         assert net.forward(cloud, seed=0, train=True).cache is not None
-        # So do the BatchNorm, CBR and CBRStack modules below it.
+        # So do the BatchNorm and CBRStack modules below it. A CBR's own
+        # forward is train mode only: eval mode runs it folded, in its stack.
         stack = net.layers[0].detector
         x = rng.normal(size=(10, stack.blocks[0].lin.w.value.shape[1]))
         for module, arg in ((stack.blocks[0].bn, stack.blocks[0].lin.forward(x)[0]),
-                            (stack.blocks[0], x), (stack, x)):
+                            (stack, x)):
             assert module.forward(arg, train=False)[1] is None
             assert module.forward(arg, train=True)[1] is not None
+        assert stack.blocks[0].forward(x)[1] is not None
 
 
 def per_block_reference(layer, pts, feats, unc, plan, dtype=np.float32):

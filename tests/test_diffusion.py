@@ -308,51 +308,55 @@ class TestAutoregressiveInference:
         conf = coarse.make_confidence_head(6, np.random.default_rng(24))
         c_gt, _ = diff.build_gt_correspondence(fine_src.points, fine_tgt.points,
                                                gt, k=3)
-        final, buffer, _ = diff.autoregressive_infer(
+        records = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, denoiser=None, confidence=conf,
             schedule=schedule, k=3, steps=3, seed=0,
             denoise_fn=lambda c_t, t, f_g, f_d: c_gt)
+        final = records[-1].pose
         assert np.abs(final.translation - gt.translation).max() < 1e-6
         angle = np.degrees(np.arccos(np.clip(
             (np.trace(gt.rotation.T @ final.rotation) - 1) / 2, -1, 1)))
         assert angle < 1e-6
-        assert len(buffer.steps) == 3
+        assert len(records) == 3
 
     def test_single_step_valid(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(25)
         schedule = diff.make_schedule()
         den = diff.make_denoiser(6, np.random.default_rng(26))
         conf = coarse.make_confidence_head(6, np.random.default_rng(27))
-        final, buffer, _ = diff.autoregressive_infer(
+        (record,) = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=1, seed=0)
-        np.testing.assert_allclose(final.rotation.T @ final.rotation, np.eye(3),
-                                   atol=1e-9)
-        assert len(buffer.steps) == 1
+        rot = record.pose.rotation
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-9)
 
-    def test_buffer_running_product(self):
+    def test_each_pose_is_the_running_product_of_the_increments(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(28)
         schedule = diff.make_schedule()
         den = diff.make_denoiser(6, np.random.default_rng(29))
         conf = coarse.make_confidence_head(6, np.random.default_rng(30))
-        _, buffer, _ = diff.autoregressive_infer(
+        records = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=4, seed=1)
-        running = buffer.initial
-        for step, cum in zip(buffer.steps, buffer.cumulative):
-            running = geometry.compose(step, running)
-            np.testing.assert_allclose(cum.rotation, running.rotation, atol=1e-12)
-            np.testing.assert_allclose(cum.translation, running.translation, atol=1e-12)
+        assert len(records) == 4
+        running = gt
+        for record in records:
+            running = geometry.compose(record.increment, running)
+            assert record.pose.rotation.tobytes() == running.rotation.tobytes()
+            assert record.pose.translation.tobytes() == running.translation.tobytes()
 
-    def test_trace_rows(self):
+    def test_fine_steps_record_their_timesteps(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(31)
         schedule = diff.make_schedule()
         conf = coarse.make_confidence_head(6, np.random.default_rng(32))
         c_gt, _ = diff.build_gt_correspondence(fine_src.points, fine_tgt.points,
                                                gt, k=3)
-        _, _, trace = diff.autoregressive_infer(
+        records = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, None, conf, schedule, k=3, steps=3, seed=0,
-            denoise_fn=lambda c_t, t, f_g, f_d: c_gt, gt=gt)
-        assert [row.step for row in trace] == [1000, 667, 333]
-        assert trace[-1].rte < 1e-6
+            denoise_fn=lambda c_t, t, f_g, f_d: c_gt)
+        assert [record.t for record in records] == [1000, 667, 333]
+        assert [record.mean_abs_c0 for record in records] == \
+            [float(np.abs(c_gt).mean())] * 3
+        rte, _ = geometry.transform_errors(records[-1].pose, gt)
+        assert rte < 1e-6
 
     def test_nan_aborts_with_diagnostics(self):
         fine_src, fine_tgt, gt, _ = self.make_scene(33)
@@ -382,7 +386,7 @@ class TestAutoregressiveInference:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(diff, "geometric_features", counting)
-        _, buffer, _ = diff.autoregressive_infer(
+        records = diff.autoregressive_infer(
             gt, fine_src, fine_tgt, den, conf, schedule, k=3, steps=3, seed=0)
-        assert len(buffer.steps) == 3
+        assert len(records) == 3
         assert len(calls) == 3

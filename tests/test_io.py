@@ -288,6 +288,21 @@ class TestCheckpoint:
         with pytest.raises(aio.CheckpointError, match=where):
             aio.load_checkpoint(path)
 
+    def test_repeated_tensor_name(self, tmp_path):
+        def record(name, values):
+            return (struct.pack("<I", len(name)) + name
+                    + struct.pack("<Q", len(values)) + struct.pack(f"<{len(values)}d", *values))
+
+        header = aio.CHECKPOINT_MAGIC + struct.pack("<I", aio.CHECKPOINT_VERSION)
+        first = record(b"x", [1.0])
+        path = tmp_path / "twice.ckpt"
+        path.write_bytes(header + first + record(b"x", [3.0, 2.0]))
+        # The repeat's name starts after the header, the first record and
+        # the repeat's 4-byte name length.
+        where = len(header) + len(first) + 4
+        with pytest.raises(aio.CheckpointError, match=f"'x' at byte {where} repeats"):
+            aio.load_checkpoint(path)
+
     def test_truncated_tensor(self, tmp_path):
         path = tmp_path / "trunc.ckpt"
         aio.save_checkpoint(aio.Checkpoint(tensors={"x": np.arange(8.0)}), path)

@@ -412,9 +412,9 @@ class TestStacks:
         assert nnet.finite_diff_check(fb, dict(layer.named_params("l")), h=1e-5) < 1e-6
 
     @staticmethod
-    def eval_stack(rng):
+    def eval_stack(rng, widths=(8, 6), head_dim=3):
         # Non-trivial batch-norm affine parameters and running statistics.
-        stack = nnet.CBRStack(5, (8, 6), 3, rng)
+        stack = nnet.CBRStack(5, widths, head_dim, rng)
         for block in stack.blocks:
             dim = block.bn.gamma.value.size
             block.bn.gamma.value[:] = rng.uniform(0.5, 2.0, size=dim)
@@ -439,27 +439,28 @@ class TestStacks:
 
     def test_eval_cbr_is_relu_of_the_folded_affine_map_bit_for_bit(self):
         rng = np.random.default_rng(19)
-        block = self.eval_stack(rng).blocks[0]
+        stack = self.eval_stack(rng, (8,), None)
+        block = stack.blocks[0]
         x = rng.normal(size=(33, 5))
         bn = block.bn
         scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
         w = block.lin.w.value * scale[:, None]
         b = (block.lin.b.value - bn.running_mean) * scale + bn.beta.value
-        out, _ = block.forward(x, train=False)
+        out, _ = stack.forward(x, train=False)
         assert (out == 0.0).any() and (out > 0.0).any()
         assert out.tobytes() == nnet.relu(x @ w.T + b).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_eval_cbr_rejects_non_finite_input(self, bad):
         rng = np.random.default_rng(20)
-        block = self.eval_stack(rng).blocks[0]
+        stack = self.eval_stack(rng, (8,), None)
         x = rng.normal(size=(6, 5))
         x[4, 2] = bad
         # An infinite input meets weights of both signs: the check's sum of
         # +inf and -inf is NaN, which numpy reports as an invalid value.
         with np.errstate(invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="batchnorm output"):
-            block.forward(x, train=False)
+            stack.forward(x, train=False)
 
     @staticmethod
     def scaled_in(dtype, folds):
@@ -575,7 +576,7 @@ class TestStacks:
 
         for p in params.values():
             p.zero_grad()
-        out, cache = block.forward(x, train=True)
+        out, cache = block.forward(x)
         got = block.backward(cache, grad_out)
         got_grads = {k: p.grad.copy() for k, p in params.items()}
 
@@ -617,7 +618,7 @@ class TestCBRTrainCalls:
                     calls.append(_name)
                     return _orig(*args, **kwargs)
                 setattr(layer, method, counted)
-        out, cache = cbr.forward(rng.normal(size=(10, 4)), train=True)
+        out, cache = cbr.forward(rng.normal(size=(10, 4)))
         cbr.backward(cache, rng.normal(size=out.shape))
         assert calls == ["lin.forward", "bn.forward", "bn.backward", "lin.backward"]
 

@@ -138,7 +138,7 @@ class TestTrainingStep:
         pair = training.gen_synthetic_pair(rng, cfg.train_points, cfg.max_rot_deg,
                                            cfg.max_trans, cfg.jitter, 0)
         pair = training._preprocess_pair(pair, cfg, 0)
-        model.zero_grads()
+        model.make_optimizer().zero_grad()
         ctx, so, to = training.make_step_context(model, pair, rng)
         total, terms = training.training_loss(model, pair, ctx, outputs=(so, to))
         assert np.isfinite(total) and total > 0
@@ -149,6 +149,23 @@ class TestTrainingStep:
         with pytest.raises(ValueError, match="train-mode forward"):
             training.training_loss(model, pair, ctx, train=False, outputs=(so, to))
 
+    def test_second_call_with_gradients_raises_before_any_write(self):
+        # The first call's backwards consumed both outputs' caches. Without
+        # them the second call could not finish, so it must not fold batch
+        # statistics or add head gradients on its way to the error.
+        model, pair, rng = TestConcurrentStep.step_inputs()
+        ctx, so, to = training.make_step_context(model, pair, rng)
+        training.training_loss(model, pair, ctx, outputs=(so, to))
+
+        def state():
+            return ([(name, p.grad.tobytes()) for name, p in model.named_params().items()]
+                    + [(name, buf.tobytes()) for name, buf in model._buffer_modules()])
+
+        before = state()
+        with pytest.raises(ValueError, match="no cache"):
+            training.training_loss(model, pair, ctx, outputs=(so, to))
+        assert state() == before
+
     def test_full_loss_gradcheck(self):
         cfg = tiny_config()
         model = training.RegistrationModel(cfg)
@@ -158,6 +175,7 @@ class TestTrainingStep:
         pair = training._preprocess_pair(pair, cfg, 0)
         ctx, so, to = training.make_step_context(model, pair, rng)
         params = model.named_params()
+        optimizer = model.make_optimizer()
 
         def outputs():
             # Each probe reruns both forwards with the step's sampling plans.
@@ -166,7 +184,7 @@ class TestTrainingStep:
                          for cloud, out in ((pair.source, so), (pair.target, to)))
 
         def fb():
-            model.zero_grads()
+            optimizer.zero_grad()
             total, _ = training.training_loss(model, pair, ctx, outputs=outputs())
             return total
 
@@ -365,7 +383,7 @@ class TestConcurrentStep:
     def test_target_backward_raises_and_leaves_no_thread(self, monkeypatch):
         model, pair, rng = self.step_inputs()
         ctx, so, to = training.make_step_context(model, pair, rng)
-        model.zero_grads()
+        model.make_optimizer().zero_grad()
         backward = model.backbone.backward
 
         def failing_on_target(out, **grads):
@@ -678,12 +696,11 @@ class TestRegisterPair:
         rng = np.random.default_rng(13)
         pair = training.gen_synthetic_pair(rng, cfg.train_points, 5.0, 0.5,
                                            cfg.jitter, 0)
-        result = training.register_pair(model, pair.source, pair.target,
-                                        seed=0, gt=pair.transform)
+        result = training.register_pair(model, pair.source, pair.target, seed=0)
         rot = result.transform.rotation
         np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-9)
-        assert len(result.buffer.steps) == cfg.sampling_steps
-        assert len(result.trace) == cfg.sampling_steps
+        assert len(result.fine_steps) == cfg.sampling_steps
+        assert result.fine_steps[-1].pose is result.transform
         assert result.diagnostics.src_kept > 0
 
     def test_deterministic(self):
