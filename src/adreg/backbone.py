@@ -152,7 +152,7 @@ class DetectorDescriptorLayer:
         weights = (1.0 - unc) if weighted else None
         selected = farthest_point_sample(pts, self.cfg.n_out, weights=weights, seed=seed)
         k_eff = min(self.cfg.k_group, len(pts))
-        return LayerPlan(selected, knn_search(pts[selected], pts, k_eff).indices)
+        return LayerPlan(selected, knn_search(pts[selected], pts, k_eff))
 
     def fold(self) -> tuple:
         """The eval pass's folded stacks, which ``forward`` takes once per

@@ -372,8 +372,7 @@ def purified_candidates(src_coarse: FeatureSet, tgt_coarse: FeatureSet, *,
         raise DegeneracyError(
             f"coarse: {len(src_pure)} source and {len(tgt_pure)} target "
             f"superpoints left; need at least 3 and k={candidates}")
-    cand_idx = knn_search(src_pure.descriptors, tgt_pure.descriptors,
-                          candidates).indices
+    cand_idx = knn_search(src_pure.descriptors, tgt_pure.descriptors, candidates)
     return src_pure, tgt_pure, (src_mask, tgt_mask), cand_idx
 
 
@@ -385,7 +384,7 @@ def coarse_register(src_coarse: FeatureSet, tgt_coarse: FeatureSet,
     eval-mode backbone forwards: the purified candidates, then the coarse
     head.
 
-    Returns (transform, diagnostics, coarse masks).
+    Returns (transform, diagnostics).
     """
     src_pure, tgt_pure, masks, cand_idx = purified_candidates(
         src_coarse, tgt_coarse, gmm_components=gmm_components,
@@ -400,4 +399,4 @@ def coarse_register(src_coarse: FeatureSet, tgt_coarse: FeatureSet,
         src_total=len(src_coarse), src_kept=int(masks[0].sum()),
         tgt_total=len(tgt_coarse), tgt_kept=int(masks[1].sum()),
         mean_confidence=float(conf.mean()))
-    return transform, diag, masks
+    return transform, diag

@@ -126,17 +126,17 @@ def build_gt_correspondence(src_pts: np.ndarray, tgt_pts: np.ndarray,
     Warps the source by the true transform, runs Sinkhorn on the global
     Euclidean distance matrix, gathers each warped source's k nearest
     targets, renormalizes rows to sum 1, and maps them affinely to the
-    [-1, 1] diffusion range. Returns (c_gt, neighbors).
+    [-1, 1] diffusion range. Returns c_gt and the (N, k) target indices.
     """
     warped = apply_transform(gt, src_pts)
     cost = np.linalg.norm(warped[:, None, :] - tgt_pts[None], axis=-1)
     plan = sinkhorn(cost, reg=reg, iters=iters)
-    neighbors = knn_search(warped, tgt_pts, k)
-    gathered = np.take_along_axis(plan, neighbors.indices, axis=1)
+    cand_idx = knn_search(warped, tgt_pts, k)
+    gathered = np.take_along_axis(plan, cand_idx, axis=1)
     row_sums = gathered.sum(axis=1, keepdims=True)
     rows = np.where(row_sums > 1e-300, gathered / np.maximum(row_sums, 1e-300),
                     1.0 / k)
-    return 2.0 * rows - 1.0, neighbors
+    return 2.0 * rows - 1.0, cand_idx
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
     pose = coarse_tf
     records: list[FineStep] = []
     warped = apply_transform(pose, src_pts)
-    cand_idx = knn_search(warped, tgt_pts, k).indices
+    cand_idx = knn_search(warped, tgt_pts, k)
     f_d, _ = descriptor_features(fine_src, fine_tgt, cand_idx, with_similarity=False)
 
     c_t = rng.standard_normal(size=(len(src_pts), k))

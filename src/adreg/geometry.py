@@ -70,18 +70,6 @@ class RigidTransform:
         return np.hstack([self.rotation, self.translation[:, None]])
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    """Per-query K nearest target indices with ascending distances."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        if self.indices.shape != self.distances.shape:
-            raise ValueError("indices and distances must share a shape")
-
-
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Return the transform applying ``b`` first, then ``a``."""
     return RigidTransform(a.rotation @ b.rotation,
@@ -248,9 +236,9 @@ def _sq_dists(q_cols: np.ndarray, t_cols: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _select(d2: np.ndarray, k: int):
-    """Per row of the squared distances ``d2`` (rows, M), the positions and
-    distances of the k nearest, ordered by (distance, position)."""
+def _select(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row of the squared distances ``d2`` (rows, M), the positions of
+    the k nearest, ordered by (distance, position)."""
     # Order by (d2, index): argpartition picks k smallest, an index sort
     # then a stable d2 sort orders them. Where the k-th d2 ties with an
     # entry left out, the pick is arbitrary, so those rows sort in full.
@@ -262,30 +250,28 @@ def _select(d2: np.ndarray, k: int):
     tied = (d2 <= kth).sum(axis=1) > k
     if tied.any():
         idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+    return idx
 
 
-def _knn_brute(q_cols: np.ndarray, t_cols: np.ndarray, k: int):
+def _knn_brute(q_cols: np.ndarray, t_cols: np.ndarray, k: int) -> np.ndarray:
     """K nearest columns of ``t_cols`` (D, M) for each column of ``q_cols``
     (D, N), scanning every target a block of query columns at a time.
-    Returns their (N, k) positions and distances, ordered by (distance,
-    position)."""
+    Returns their (N, k) positions, ordered by (distance, position)."""
     n, m = q_cols.shape[1], t_cols.shape[1]
     rows = max(1, _KNN_BLOCK_ENTRIES // m)
     idx = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        idx[block], dist[block] = _select(_sq_dists(q_cols[:, block], t_cols), k)
-    return idx, dist
+        idx[block] = _select(_sq_dists(q_cols[:, block], t_cols), k)
+    return idx
 
 
 def _knn_bounded(queries: np.ndarray, targets: np.ndarray, k: int,
-                 slack: float, tiny: float):
+                 slack: float, tiny: float) -> np.ndarray:
     """K nearest rows of ``targets`` (M, D) for each row of ``queries``
     (N, D), with exact squared distances taken only for the targets a BLAS
     bound lets reach the k nearest (see ``knn_search``). Returns their
-    (N, k) indices and distances, ordered by (distance, index)."""
+    (N, k) indices, ordered by (distance, index)."""
     n, m = len(queries), len(targets)
     width = queries.shape[1]
     t_cols = np.ascontiguousarray(targets.T)
@@ -295,7 +281,6 @@ def _knn_bounded(queries: np.ndarray, targets: np.ndarray, k: int,
     rows = max(1, _KNN_BLOCK_ENTRIES // m)
     pairs = max(1, _KNN_BLOCK_ENTRIES // width)
     idx = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         q = queries[block]
@@ -321,12 +306,13 @@ def _knn_bounded(queries: np.ndarray, targets: np.ndarray, k: int,
             diff = q[rp] - targets[cp]
             np.square(diff, out=diff)
             d2[rp, cp] = diff.sum(axis=1)
-        idx[block], dist[block] = _select(d2, k)
-    return idx, dist
+        idx[block] = _select(d2, k)
+    return idx
 
 
-def knn_search(queries, targets, k: int) -> NeighborSet:
-    """K nearest targets per query (Euclidean), ties broken by lower index.
+def knn_search(queries, targets, k: int) -> np.ndarray:
+    """(N, k) int64 indices of each query's k nearest targets (Euclidean),
+    nearest first, ties broken by lower index.
 
     Queries of width 3 or less are split in halves at the median of their
     widest axis, recursively, and each half keeps only the targets that can
@@ -384,9 +370,8 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
     slack = 1.0 + 8.0 * (width + 4) * np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).tiny
     if width > 3:
-        return NeighborSet(*_knn_bounded(queries, targets, k, slack, tiny))
+        return _knn_bounded(queries, targets, k, slack, tiny)
     indices = np.empty((n, k), dtype=np.int64)
-    dists = np.empty((n, k))
     t_all = np.ascontiguousarray(targets.T)
     # A copy of the query columns, reordered in place as halves split, so
     # that every half is a contiguous range; order[i] is column i's query.
@@ -401,7 +386,7 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
         whole = len(cand) == len(targets)
         t_cols = t_all if whole else np.take(t_all, cand, axis=1)
         if not split or hi - lo == 1 or (hi - lo) * len(cand) <= _KNN_BLOCK_ENTRIES:
-            idx, dists[order[lo:hi]] = _knn_brute(q, t_cols, k)
+            idx = _knn_brute(q, t_cols, k)
             indices[order[lo:hi]] = idx if whole else cand[idx]
             continue
         mid = (hi - lo) // 2
@@ -418,4 +403,4 @@ def knn_search(queries, targets, k: int) -> NeighborSet:
             reach = (math.sqrt(kth2s[i] + tiny) + 2.0 * math.sqrt(radius2 + tiny)) * slack
             keep = d2[i] <= reach * reach + tiny
             todo.append((start, end, cand[keep], radius2 > kth2s[i] or not keep.all()))
-    return NeighborSet(indices, dists)
+    return indices

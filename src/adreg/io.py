@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import scaled_layer_configs
+from .diffusion import DECODE_TEMPERATURE
 from .geometry import RigidTransform, as_points
 
 CHECKPOINT_MAGIC = b"ADRG"
@@ -108,11 +109,15 @@ def read_ply(path) -> np.ndarray:
                                   "with a nonnegative integer count")
             element = tokens[1]
             if element == "vertex":
+                if n_vertex is not None:
+                    raise FormatError(f"{path}: line {i}: repeats 'element vertex'")
                 n_vertex = count
             elif count > 0:
                 raise FormatError(f"{path}: line {i}: unsupported element '{tokens[1]}'")
         elif tokens[0] == "property":
             if element == "vertex":
+                if tokens[-1] in properties:
+                    raise FormatError(f"{path}: line {i}: repeats property '{tokens[-1]}'")
                 properties.append(tokens[-1])
         elif tokens[0] == "end_header":
             body_start = i
@@ -152,12 +157,6 @@ def read_ply(path) -> np.ndarray:
 # Pose files (12 reals per line, row-major 3x4)
 
 
-@dataclass(frozen=True)
-class PoseRecord:
-    frame: int
-    transform: RigidTransform
-
-
 def orthonormalize_rotation(m: np.ndarray) -> np.ndarray:
     """Project onto the nearest rotation matrix (SVD, determinant fixed)."""
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
@@ -165,8 +164,8 @@ def orthonormalize_rotation(m: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def read_pose_file(path) -> list[PoseRecord]:
-    records = []
+def read_pose_file(path) -> list[RigidTransform]:
+    transforms = []
     for lineno, line in enumerate(_read_text(path, "utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -183,8 +182,8 @@ def read_pose_file(path) -> list[PoseRecord]:
             transform = RigidTransform(orthonormalize_rotation(vals[:, :3]), vals[:, 3])
         except ValueError as exc:  # np.linalg.LinAlgError included
             raise FormatError(f"{path}: line {lineno}: no rotation: {exc}") from None
-        records.append(PoseRecord(len(records), transform))
-    return records
+        transforms.append(transform)
+    return transforms
 
 
 def write_pose_file(path, transforms) -> None:
@@ -231,7 +230,7 @@ class RunConfig:
     outlier_clusters: int = 1
     sinkhorn_reg: float = 0.1
     sinkhorn_iters: int = 100
-    decode_temperature: float = 0.025
+    decode_temperature: float = DECODE_TEMPERATURE
 
     _POSITIVE_COUNTS = (
         "sample_count", "gmm_components", "bgmm_topk",
@@ -319,6 +318,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         key, _, val = (p.strip() for p in line.partition("="))
         if key not in _CONFIG_FIELDS:
             raise FormatError(f"{source}: line {lineno}: unknown key '{key}'")
+        if key in lines:
+            raise FormatError(f"{source}: line {lineno}: '{key}' repeats line {lines[key]}")
         kind = _CONFIG_FIELDS[key]
         try:
             values[key] = int(val) if kind in (int, "int") else float(val)

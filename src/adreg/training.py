@@ -17,7 +17,7 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -326,14 +326,13 @@ def make_step_context(model: RegistrationModel, pair: SyntheticPair,
         src_out.coarse, tgt_out.coarse, gmm_components=cfg.gmm_components,
         bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
 
-    c_gt, fine_neighbors = diffusion.build_gt_correspondence(
+    c_gt, fine_cand = diffusion.build_gt_correspondence(
         src_out.fine.points, tgt_out.fine.points, pair.transform,
         k=cfg.candidates, reg=cfg.sinkhorn_reg, iters=cfg.sinkhorn_iters)
     t = int(rng.integers(1, cfg.diffusion_steps + 1))
     eps = rng.standard_normal(size=c_gt.shape)
     c_t = diffusion.q_sample(model.schedule, c_gt, t, eps)
-    ctx = StepContext(src_mask, tgt_mask, coarse_cand, fine_neighbors.indices,
-                      c_gt, t, c_t)
+    ctx = StepContext(src_mask, tgt_mask, coarse_cand, fine_cand, c_gt, t, c_t)
     return ctx, src_out, tgt_out
 
 
@@ -550,7 +549,7 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
 
     (src_fine, src_coarse), (tgt_fine, tgt_coarse) = _front_halves(
         model, src_cloud, tgt_cloud, seed)
-    coarse_tf, diag, _ = coarse.coarse_register(
+    coarse_tf, diag = coarse.coarse_register(
         src_coarse, tgt_coarse, model.predictor, model.coarse_confidence,
         gmm_components=cfg.gmm_components, bgmm_topk=cfg.bgmm_topk,
         candidates=cfg.candidates, seed=seed)
@@ -597,13 +596,9 @@ def load_pair_dir(path) -> list[tuple[np.ndarray, np.ndarray, RigidTransform]]:
     from .io import read_ply, read_pose_file
 
     base = Path(path)
-    poses = read_pose_file(base / "gt.txt")
-    pairs = []
-    for i, record in enumerate(poses):
-        src = read_ply(base / f"pair_{i:04d}_src.ply")
-        tgt = read_ply(base / f"pair_{i:04d}_tgt.ply")
-        pairs.append((src, tgt, record.transform))
-    return pairs
+    return [(read_ply(base / f"pair_{i:04d}_src.ply"),
+             read_ply(base / f"pair_{i:04d}_tgt.ply"), transform)
+            for i, transform in enumerate(read_pose_file(base / "gt.txt"))]
 
 
 def _preprocess_pair(pair: SyntheticPair, config: RunConfig, idx: int) -> SyntheticPair:
@@ -617,8 +612,7 @@ def learning_rate_at(config: RunConfig, epoch: int) -> float:
     return config.learning_rate * config.lr_decay ** (epoch // config.lr_decay_every)
 
 
-def train(config: RunConfig, data_dir=None, log_path=None,
-          progress: bool = False) -> TrainResult:
+def train(config: RunConfig, data_dir=None, log_path=None) -> TrainResult:
     """Train all stages jointly; returns the checkpoint and per-epoch log.
 
     With ``data_dir``, the first ``max(1, n // 8)`` of its n pairs are held
@@ -707,12 +701,6 @@ def train(config: RunConfig, data_dir=None, log_path=None,
         means = [v / seen if seen else float("nan") for v in sums.values()]
         logs.append(EpochLog(epoch, *means, val_rte, val_rre))
         last_good = model.to_checkpoint()
-        if progress:
-            log = logs[-1]
-            print(f"epoch {log.epoch:3d} lr {optimizer.lr:.2e} "
-                  f"trans {log.loss_trans:.4f} rot {log.loss_rot:.4f} "
-                  f"diff {log.loss_diff:.4f} val_rte {log.val_rte:.3f} "
-                  f"val_rre {log.val_rre:.3f}", flush=True)
 
     if log_path is not None:
         write_training_log(log_path, logs)

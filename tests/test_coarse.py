@@ -146,7 +146,7 @@ class TestWeightedSvd:
 
 def candidate_features(src, tgt, k):
     """Descriptor-space KNN candidates and both coarse feature blocks."""
-    cand_idx = geometry.knn_search(src.descriptors, tgt.descriptors, k).indices
+    cand_idx = geometry.knn_search(src.descriptors, tgt.descriptors, k)
     f_g, _ = coarse.geometric_features(src.points, tgt.points, cand_idx)
     f_d, _ = coarse.descriptor_features(src, tgt, cand_idx, with_similarity=True)
     return f_g, f_d, cand_idx
@@ -258,7 +258,7 @@ class TestCoarseHead:
         c = 6
         src = random_feature_set(rng, 10, c, spread=3.0)
         tgt = random_feature_set(rng, 18, c, spread=3.0)
-        cand_idx = geometry.knn_search(src.descriptors, tgt.descriptors, 3).indices
+        cand_idx = geometry.knn_search(src.descriptors, tgt.descriptors, 3)
         pred = coarse.make_predictor(c, np.random.default_rng(19))
         conf = coarse.make_confidence_head(c, np.random.default_rng(20))
         params = dict(pred.named_params("pred"))
@@ -310,7 +310,7 @@ class TestCoarseRegister:
     def test_identity_pair_with_single_candidate(self):
         backbone, pred, conf = self.make_model()
         cloud = self.make_cloud(np.random.default_rng(21))
-        transform, diag, _ = coarse.coarse_register(
+        transform, diag = coarse.coarse_register(
             backbone.forward(cloud, seed=0).coarse, backbone.forward(cloud.copy(), seed=0).coarse,
             pred, conf, gmm_components=8, bgmm_topk=2, candidates=1, seed=0)
         # The rotation angle from ||R - I||_F = 2 sqrt(2) sin(angle / 2),
@@ -330,7 +330,7 @@ class TestCoarseRegister:
         src = self.make_cloud(rng)
         gt = random_rigid_transform(rng, 5.0, 0.5)
         tgt = geometry.apply_transform(gt, src)
-        transform, diag, _ = coarse.coarse_register(
+        transform, diag = coarse.coarse_register(
             backbone.forward(src, seed=0).coarse, backbone.forward(tgt, seed=0).coarse,
             pred, conf, gmm_components=8, bgmm_topk=2, candidates=3, seed=0)
         assert np.isfinite(transform.translation).all()

@@ -100,8 +100,8 @@ class TestGtCorrespondence:
         src = rng.normal(size=(32, 3)) * 5
         gt = random_rigid_transform(rng, 30.0, 2.0)
         tgt = geometry.apply_transform(gt, src)
-        c_gt, neighbors = diff.build_gt_correspondence(src, tgt, gt, k=1)
-        assert (neighbors.indices[:, 0] == np.arange(32)).all()
+        c_gt, cand_idx = diff.build_gt_correspondence(src, tgt, gt, k=1)
+        assert (cand_idx[:, 0] == np.arange(32)).all()
         np.testing.assert_allclose(c_gt, 1.0, atol=1e-12)
 
     def test_jittered_argmax_hits_true_match(self):
@@ -109,9 +109,9 @@ class TestGtCorrespondence:
         src = rng.uniform(-10, 10, size=(128, 3))
         gt = random_rigid_transform(rng, 10.0, 1.0)
         tgt = geometry.apply_transform(gt, src) + rng.normal(scale=0.02, size=(128, 3))
-        c_gt, neighbors = diff.build_gt_correspondence(src, tgt, gt, k=3)
+        c_gt, cand_idx = diff.build_gt_correspondence(src, tgt, gt, k=3)
         rows = (c_gt + 1.0) / 2.0
-        hits = neighbors.indices[np.arange(128), rows.argmax(axis=1)] == np.arange(128)
+        hits = cand_idx[np.arange(128), rows.argmax(axis=1)] == np.arange(128)
         assert hits.mean() >= 0.95
 
     def test_rows_sum_to_one_before_scaling(self):
@@ -174,19 +174,19 @@ class TestCorrespondenceToTransform:
         src = rng.normal(size=(n, 3)) * 4
         transform = offset or RigidTransform.identity()
         tgt = geometry.apply_transform(transform, src)
-        neighbors = geometry.knn_search(geometry.apply_transform(transform, src), tgt, 3)
+        cand_idx = geometry.knn_search(geometry.apply_transform(transform, src), tgt, 3)
         # One-hot (diffusion-space) correspondence on the true match.
         c0 = -np.ones((n, 3))
-        true_col = (neighbors.indices == np.arange(n)[:, None]).argmax(axis=1)
+        true_col = (cand_idx == np.arange(n)[:, None]).argmax(axis=1)
         c0[np.arange(n), true_col] = 1.0
-        return src, tgt, neighbors, c0
+        return src, tgt, cand_idx, c0
 
     def test_one_hot_identity(self):
         rng = np.random.default_rng(12)
-        src, tgt, neighbors, c0 = self.setup_pair(rng)
+        src, tgt, cand_idx, c0 = self.setup_pair(rng)
         conf = coarse.make_confidence_head(4, np.random.default_rng(13))
         tgt_desc = rng.normal(size=(20, 4))
-        step, _ = diff.correspondence_to_transform(c0, src, neighbors.indices, tgt,
+        step, _ = diff.correspondence_to_transform(c0, src, cand_idx, tgt,
                                                    tgt_desc, conf)
         assert np.abs(step.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(step.translation).max() < 1e-9
@@ -196,23 +196,23 @@ class TestCorrespondenceToTransform:
         gt = random_rigid_transform(rng, 20.0, 1.5)
         src = rng.normal(size=(25, 3)) * 4
         tgt = geometry.apply_transform(gt, src)
-        neighbors = geometry.knn_search(src, tgt, 3)
+        cand_idx = geometry.knn_search(src, tgt, 3)
         c0 = -np.ones((25, 3))
-        true_col = (neighbors.indices == np.arange(25)[:, None]).argmax(axis=1)
-        assert (neighbors.indices[np.arange(25), true_col] == np.arange(25)).all()
+        true_col = (cand_idx == np.arange(25)[:, None]).argmax(axis=1)
+        assert (cand_idx[np.arange(25), true_col] == np.arange(25)).all()
         c0[np.arange(25), true_col] = 1.0
         conf = coarse.make_confidence_head(4, np.random.default_rng(15))
-        step, _ = diff.correspondence_to_transform(c0, src, neighbors.indices, tgt,
+        step, _ = diff.correspondence_to_transform(c0, src, cand_idx, tgt,
                                                    rng.normal(size=(25, 4)), conf)
         assert np.abs(step.rotation - gt.rotation).max() < 1e-9
         assert np.abs(step.translation - gt.translation).max() < 1e-9
 
     def test_uniform_rows_still_valid(self):
         rng = np.random.default_rng(16)
-        src, tgt, neighbors, _ = self.setup_pair(rng)
+        src, tgt, cand_idx, _ = self.setup_pair(rng)
         conf = coarse.make_confidence_head(4, np.random.default_rng(17))
         step, cache = diff.correspondence_to_transform(
-            np.zeros((20, 3)), src, neighbors.indices, tgt, rng.normal(size=(20, 4)), conf)
+            np.zeros((20, 3)), src, cand_idx, tgt, rng.normal(size=(20, 4)), conf)
         np.testing.assert_allclose(step.rotation.T @ step.rotation, np.eye(3),
                                    atol=1e-9)
         np.testing.assert_allclose(cache["weights"], 1.0 / 3.0, atol=1e-12)
@@ -222,7 +222,7 @@ class TestCorrespondenceToTransform:
         src = rng.normal(size=(8, 3)) * 3
         tgt = rng.normal(size=(12, 3)) * 3
         tgt_desc = rng.normal(size=(12, 4))
-        neighbors = geometry.knn_search(src, tgt, 3)
+        cand_idx = geometry.knn_search(src, tgt, 3)
         conf = coarse.make_confidence_head(4, np.random.default_rng(19))
         c0 = nnet.Param(rng.uniform(-0.5, 0.5, size=(8, 3)))
         src_p = nnet.Param(src.copy())
@@ -236,7 +236,7 @@ class TestCorrespondenceToTransform:
             for p in list(params.values()) + [c0, src_p]:
                 p.zero_grad()
             step, cache = diff.correspondence_to_transform(
-                c0.value, src_p.value, neighbors.indices, tgt, tgt_desc, conf,
+                c0.value, src_p.value, cand_idx, tgt, tgt_desc, conf,
                 temperature=temp)
             loss = (step.rotation * g_rot).sum() + step.translation @ g_trans
             g_c0, g_warped, _, _ = diff.correspondence_to_transform_backward(

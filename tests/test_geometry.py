@@ -26,13 +26,10 @@ def random_transform(rng, max_rot=180.0, max_trans=5.0):
 def knn_oracle(queries, targets, k):
     """O(NM) reference: per query, targets ordered by (d^2, index)."""
     indices = np.empty((len(queries), k), dtype=np.int64)
-    dists = np.empty((len(queries), k))
     for qi, q in enumerate(queries):
         d2 = ((targets - q) ** 2).sum(1)
-        order = sorted(range(len(targets)), key=lambda j: (d2[j], j))[:k]
-        indices[qi] = order
-        dists[qi] = np.sqrt(d2[order])
-    return indices, dists
+        indices[qi] = sorted(range(len(targets)), key=lambda j: (d2[j], j))[:k]
+    return indices
 
 
 def whole_row_knn(queries, targets, k):
@@ -40,7 +37,6 @@ def whole_row_knn(queries, targets, k):
     knn_search did before it kept each block to its nearby targets."""
     n, m = len(queries), len(targets)
     indices = np.empty((n, k), dtype=np.int64)
-    dists = np.empty((n, k))
     t_cols = np.ascontiguousarray(targets.T)
     rows = max(1, geo._KNN_BLOCK_ENTRIES // m)
     for start in range(0, n, rows):
@@ -55,8 +51,7 @@ def whole_row_knn(queries, targets, k):
         if tied.any():
             idx[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         indices[block] = idx
-        dists[block] = np.sqrt(np.take_along_axis(d2, idx, axis=1))
-    return indices, dists
+    return indices
 
 
 def boundary_tied_rows(queries, targets, k):
@@ -343,32 +338,32 @@ class TestFarthestPointSample:
 class TestKnnSearch:
     def test_self_match(self):
         cloud = np.random.default_rng(11).normal(size=(20, 3))
-        ns = geo.knn_search(cloud[5:6], cloud, 1)
-        assert ns.indices[0, 0] == 5
-        assert ns.distances[0, 0] == 0.0
+        idx = geo.knn_search(cloud[5:6], cloud, 1)
+        assert idx.shape == (1, 1) and idx.dtype == np.int64
+        assert idx[0, 0] == 5
 
     def test_line_query(self):
         targets = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
-        ns = geo.knn_search(np.array([[0.4, 0, 0]]), targets, 2)
-        assert list(ns.indices[0]) == [0, 1]
-        np.testing.assert_allclose(ns.distances[0], [0.4, 0.6])
+        idx = geo.knn_search(np.array([[0.4, 0, 0]]), targets, 2)
+        assert list(idx[0]) == [0, 1]
 
     def test_duplicate_tie_lower_index(self):
         targets = np.array([[1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
-        ns = geo.knn_search(np.array([[1.0, 0, 0]]), targets, 3)
-        assert list(ns.indices[0]) == [0, 2, 3]
+        idx = geo.knn_search(np.array([[1.0, 0, 0]]), targets, 3)
+        assert list(idx[0]) == [0, 2, 3]
 
     def test_rows_sorted_and_match_bruteforce_oracle(self):
         rng = np.random.default_rng(12)
         queries = rng.normal(size=(40, 3))
         targets = rng.normal(size=(300, 3))
-        ns = geo.knn_search(queries, targets, 5)
-        assert (np.diff(ns.distances, axis=1) >= 0).all()
+        idx = geo.knn_search(queries, targets, 5)
+        dists = np.linalg.norm(targets[idx] - queries[:, None], axis=2)
+        assert (np.diff(dists, axis=1) >= 0).all()
         # O(NM) oracle with explicit loops.
         for qi in range(len(queries)):
             d = np.sqrt(((targets - queries[qi]) ** 2).sum(1))
             order = sorted(range(300), key=lambda j: (d[j], j))[:5]
-            assert list(ns.indices[qi]) == order
+            assert list(idx[qi]) == order
 
     def test_query_blocks_with_boundary_ties_match_oracle(self):
         rng = np.random.default_rng(13)
@@ -378,10 +373,9 @@ class TestKnnSearch:
         queries[::97] = targets[0]  # 11 targets at d=0, so k=7 splits a tie
         assert len(queries) > 2 * geo._KNN_BLOCK_ENTRIES // len(targets)
         assert boundary_tied_rows(queries, targets, 7) == 9
-        ns = geo.knn_search(queries, targets, 7)
-        want_idx, want_dist = knn_oracle(queries, targets, 7)
-        np.testing.assert_array_equal(ns.indices, want_idx)
-        np.testing.assert_array_equal(ns.distances, want_dist)
+        idx = geo.knn_search(queries, targets, 7)
+        want_idx = knn_oracle(queries, targets, 7)
+        np.testing.assert_array_equal(idx, want_idx)
 
     def test_large_cloud_and_k_equal_to_targets_match_oracle(self):
         rng = np.random.default_rng(14)
@@ -389,10 +383,9 @@ class TestKnnSearch:
         queries = rng.normal(size=(1000, 3))
         assert len(queries) > 2 * geo._KNN_BLOCK_ENTRIES // len(targets)
         for q, k in ((queries, 64), (queries[:40], len(targets))):
-            ns = geo.knn_search(q, targets, k)
-            want_idx, want_dist = knn_oracle(q, targets, k)
-            np.testing.assert_array_equal(ns.indices, want_idx)
-            np.testing.assert_array_equal(ns.distances, want_dist)
+            idx = geo.knn_search(q, targets, k)
+            want_idx = knn_oracle(q, targets, k)
+            np.testing.assert_array_equal(idx, want_idx)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -407,10 +400,9 @@ class TestKnnSearch:
                                               max_size=n_q * width))).reshape(n_q, width)
         targets = np.array(data.draw(st.lists(coord, min_size=n_t * width,
                                               max_size=n_t * width))).reshape(n_t, width)
-        ns = geo.knn_search(queries, targets, k)
-        want_idx, want_dist = knn_oracle(queries, targets, k)
-        np.testing.assert_array_equal(ns.indices, want_idx)
-        np.testing.assert_array_equal(ns.distances, want_dist)
+        idx = geo.knn_search(queries, targets, k)
+        want_idx = knn_oracle(queries, targets, k)
+        np.testing.assert_array_equal(idx, want_idx)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
@@ -433,10 +425,9 @@ class TestKnnSearch:
         queries = np.array([[0.0], [2.0], [4.0]])
         with mock.patch.object(geo, "_KNN_BLOCK_ENTRIES", 1):
             for k in (1, 2, 3):
-                ns = geo.knn_search(queries, targets, k)
-                want_idx, want_dist = knn_oracle(queries, targets, k)
-                np.testing.assert_array_equal(ns.indices, want_idx)
-                np.testing.assert_array_equal(ns.distances, want_dist)
+                idx = geo.knn_search(queries, targets, k)
+                want_idx = knn_oracle(queries, targets, k)
+                np.testing.assert_array_equal(idx, want_idx)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -467,11 +458,10 @@ class TestKnnSearch:
             queries = rng.uniform(-1.0, 1.0, size=(n_q, width)) + 5.0 * rng.choice([-1, 1], width)
         before = queries.copy()
         with mock.patch.object(geo, "_KNN_BLOCK_ENTRIES", 16):
-            ns = geo.knn_search(queries, targets, k)
+            idx = geo.knn_search(queries, targets, k)
         np.testing.assert_array_equal(queries, before)  # split order is a copy
-        want_idx, want_dist = knn_oracle(queries, targets, k)
-        np.testing.assert_array_equal(ns.indices, want_idx)
-        np.testing.assert_array_equal(ns.distances, want_dist)
+        want_idx = knn_oracle(queries, targets, k)
+        np.testing.assert_array_equal(idx, want_idx)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -506,12 +496,11 @@ class TestKnnSearch:
         before = queries.copy(), targets.copy()
         with np.errstate(over="ignore", invalid="ignore"), \
                 mock.patch.object(geo, "_KNN_BLOCK_ENTRIES", entries):
-            ns = geo.knn_search(queries, targets, k)
-            want_idx, want_dist = knn_oracle(queries, targets, k)
+            idx = geo.knn_search(queries, targets, k)
+            want_idx = knn_oracle(queries, targets, k)
         np.testing.assert_array_equal(queries, before[0])
         np.testing.assert_array_equal(targets, before[1])
-        assert ns.indices.tobytes() == want_idx.tobytes()
-        assert ns.distances.tobytes() == want_dist.tobytes()
+        assert idx.tobytes() == want_idx.tobytes()
 
     def test_norm_overflowing_for_one_target_scans_the_row(self):
         # |q|^2 is finite and |t0|^2 overflows, yet q is far nearer to t0
@@ -521,11 +510,10 @@ class TestKnnSearch:
                             [1.0, 2.0, 3.0, 5.0]])
         for k in (1, 2, 3):
             with np.errstate(over="ignore", invalid="ignore"):
-                ns = geo.knn_search(queries, targets, k)
-                want_idx, want_dist = knn_oracle(queries, targets, k)
-            assert ns.indices[0, 0] == 1
-            np.testing.assert_array_equal(ns.indices, want_idx)
-            np.testing.assert_array_equal(ns.distances, want_dist)
+                idx = geo.knn_search(queries, targets, k)
+                want_idx = knn_oracle(queries, targets, k)
+            assert idx[0, 0] == 1
+            np.testing.assert_array_equal(idx, want_idx)
 
     def test_descriptor_rows_need_no_full_scan(self):
         # Rows like the coarse stage's 256-wide descriptors: every bound is
@@ -541,11 +529,10 @@ class TestKnnSearch:
             return select(d2, k)
 
         with mock.patch.object(geo, "_select", side_effect=select_dropped) as spy:
-            ns = geo.knn_search(queries, targets, 3)
+            idx = geo.knn_search(queries, targets, 3)
         assert spy.called
-        want_idx, want_dist = knn_oracle(queries, targets, 3)
-        assert ns.indices.tobytes() == want_idx.tobytes()
-        assert ns.distances.tobytes() == want_dist.tobytes()
+        want_idx = knn_oracle(queries, targets, 3)
+        assert idx.tobytes() == want_idx.tobytes()
 
     def test_full_scale_layer_one_matches_the_whole_row_scan(self):
         config = RunConfig(backbone_scale=1.0)
@@ -556,10 +543,9 @@ class TestKnnSearch:
         layer = scaled_layer_configs(1.0)[0]
         queries = pts[geo.farthest_point_sample(pts, layer.n_out)]
         assert len(pts) > 10_000 and layer.k_group == 64
-        ns = geo.knn_search(queries, pts, layer.k_group)
-        want_idx, want_dist = whole_row_knn(queries, pts, layer.k_group)
-        assert ns.indices.tobytes() == want_idx.tobytes()
-        assert ns.distances.tobytes() == want_dist.tobytes()
+        idx = geo.knn_search(queries, pts, layer.k_group)
+        want_idx = whole_row_knn(queries, pts, layer.k_group)
+        assert idx.tobytes() == want_idx.tobytes()
 
 
 class TestSqDists:

@@ -26,3 +26,26 @@ def test_package_imports_only_stdlib_numpy_and_itself():
                for path in sources for line, root in imported_roots(path)
                if root not in sys.stdlib_module_names and root not in ALLOWED_THIRD_PARTY]
     assert foreign == []
+
+
+def unused_imports(path: Path):
+    """(line, name) for every name an import binds in a source file that
+    no expression of the file reads. ``from __future__`` imports bind none."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_package_uses_every_name_it_imports():
+    sources = sorted(Path(adreg.__file__).parent.glob("*.py"))
+    unused = [f"{path.name}:{line} imports {name}"
+              for path in sources for line, name in unused_imports(path)]
+    assert unused == []

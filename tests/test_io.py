@@ -72,8 +72,13 @@ class TestPly:
          "line 9"),
         ((PLY_HEADER + "comment caf\u00e9\nelement vertex 0\n" + XYZ
           + "end_header\n").encode("utf-8"), "line 3"),
+        ((PLY_HEADER + "element vertex 1\n" + XYZ + "element vertex 2\n" + XYZ
+          + "end_header\n1 2 3 4 5 6\n7 8 9 10 11 12\n").encode(), "line 7"),
+        ((PLY_HEADER + "element vertex 2\nproperty float x\n" + XYZ
+          + "end_header\n1 2 3 4\n5 6 7 8\n").encode(), "line 5"),
     ], ids=["vertex-no-count", "face-no-count", "bare-element", "vertex-count-x",
-            "vertex-count-negative", "nan-vertex", "non-ascii-header"])
+            "vertex-count-negative", "nan-vertex", "non-ascii-header", "vertex-twice",
+            "property-twice"])
     def test_malformed_input_raises_positioned_format_error(self, tmp_path, payload, where):
         path = tmp_path / "bad.ply"
         path.write_bytes(payload)
@@ -99,9 +104,9 @@ class TestPoseFile:
     def test_identity_line(self, tmp_path):
         path = tmp_path / "poses.txt"
         path.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
-        records = aio.read_pose_file(path)
-        assert len(records) == 1 and records[0].frame == 0
-        np.testing.assert_array_equal(records[0].transform.rotation, np.eye(3))
+        transforms = aio.read_pose_file(path)
+        assert len(transforms) == 1
+        np.testing.assert_array_equal(transforms[0].rotation, np.eye(3))
 
     def test_wrong_token_count(self, tmp_path):
         path = tmp_path / "poses.txt"
@@ -126,7 +131,7 @@ class TestPoseFile:
         vals = np.hstack([rot, np.array([[1.0], [2.0], [3.0]])]).reshape(-1)
         path = tmp_path / "poses.txt"
         path.write_text(" ".join("%.10f" % v for v in vals) + "\n")
-        t = aio.read_pose_file(path)[0].transform
+        t = aio.read_pose_file(path)[0]
         assert np.abs(t.rotation.T @ t.rotation - np.eye(3)).max() < 1e-9
         assert abs(np.linalg.det(t.rotation) - 1) < 1e-9
 
@@ -137,9 +142,10 @@ class TestPoseFile:
         path = tmp_path / "poses.txt"
         aio.write_pose_file(path, transforms)
         back = aio.read_pose_file(path)
-        for orig, rec in zip(transforms, back):
-            assert np.abs(rec.transform.rotation - orig.rotation).max() < 1e-12
-            assert np.abs(rec.transform.translation - orig.translation).max() < 1e-12
+        assert len(back) == len(transforms)
+        for orig, t in zip(transforms, back):
+            assert np.abs(t.rotation - orig.rotation).max() < 1e-12
+            assert np.abs(t.translation - orig.translation).max() < 1e-12
 
 
 class TestRunConfig:
@@ -175,6 +181,10 @@ class TestRunConfig:
     def test_invalid_value(self):
         with pytest.raises(aio.FormatError):
             aio.parse_config("gmm_components = 0\n")
+
+    def test_repeated_key(self):
+        with pytest.raises(aio.FormatError, match="line 2: 'voxel_size' repeats line 1"):
+            aio.parse_config("voxel_size = 0.5\nvoxel_size = 0.3\n")
 
     @pytest.mark.parametrize("text, line, fields", [
         # K = 40 candidates among the 8 coarse superpoints of scale 1/32.
