@@ -10,6 +10,9 @@ to get a rigid increment, composes it onto the pose so far, re-warps the
 source, and DDIM-steps the correspondence; each step leaves a ``FineStep``.
 Inference takes no ground truth. Training's ground-truth correspondences
 come from a Sinkhorn-refined distance matrix.
+
+Non-finite values raise ``NumericalError``, which lives in ``nnet``, whose
+layers raise it too, and is imported here under the same name.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .backbone import FeatureSet
 from .coarse import (DegeneracyError, decode_backward, decode_forward,
                      descriptor_features, geometric_features)
 from .geometry import RigidTransform, apply_transform, compose, knn_search
-from .nnet import scatter_candidates
+from .nnet import NumericalError, scatter_candidates
 
 TIME_EMBED_DIM = 16
 DENOISER_WIDTHS = (64, 64, 32)
@@ -31,14 +34,6 @@ DENOISER_WIDTHS = (64, 64, 32)
 # weights; sharp enough that a one-hot row fuses to its candidate exactly
 # at float precision.
 DECODE_TEMPERATURE = 0.025
-
-
-class NumericalError(RuntimeError):
-    """Inference produced non-finite values; carries a diagnostics payload."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +114,17 @@ def sinkhorn(cost: np.ndarray, reg: float = 0.1, iters: int = 100) -> np.ndarray
 
 
 def build_gt_correspondence(src_pts: np.ndarray, tgt_pts: np.ndarray,
-                            gt: RigidTransform, k: int, reg: float = 0.1,
-                            iters: int = 100):
+                            gt: RigidTransform, k: int):
     """Sinkhorn-refined local ground-truth correspondence.
 
-    Warps the source by the true transform, runs Sinkhorn on the global
-    Euclidean distance matrix, gathers each warped source's k nearest
-    targets, renormalizes rows to sum 1, and maps them affinely to the
+    Warps the source by the true transform, runs Sinkhorn (default settings)
+    on the global Euclidean distance matrix, gathers each warped source's k
+    nearest targets, renormalizes rows to sum 1, and maps them affinely to the
     [-1, 1] diffusion range. Returns c_gt and the (N, k) target indices.
     """
     warped = apply_transform(gt, src_pts)
     cost = np.linalg.norm(warped[:, None, :] - tgt_pts[None], axis=-1)
-    plan = sinkhorn(cost, reg=reg, iters=iters)
+    plan = sinkhorn(cost)
     cand_idx = knn_search(warped, tgt_pts, k)
     gathered = np.take_along_axis(plan, cand_idx, axis=1)
     row_sums = gathered.sum(axis=1, keepdims=True)
@@ -249,15 +243,16 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
                          fine_tgt: FeatureSet, denoiser: nnet.CBRStack | None,
                          confidence: nnet.MLP, schedule: NoiseSchedule,
                          k: int, steps: int, seed: int = 0,
-                         temperature: float = DECODE_TEMPERATURE,
                          denoise_fn=None) -> list[FineStep]:
     """Run Algorithm-style autoregressive refinement from the coarse transform.
 
     ``denoise_fn(c_t, t, f_g, f_d) -> c0_hat`` overrides the network (used by
     oracle tests). Candidates are fixed at the start from the coarsely warped
     source; each step re-warps the full fine source with the accumulated
-    pose and rebuilds the geometric conditioning. Returns one ``FineStep``
-    per step; the last one's ``pose`` is the result.
+    pose, rebuilds the geometric conditioning and decodes at
+    ``DECODE_TEMPERATURE``. Returns one ``FineStep`` per step; the last
+    one's ``pose`` is the result. A non-finite prediction raises
+    ``NumericalError``.
     """
     if steps < 1:
         raise ValueError("need at least one sampling step")
@@ -288,7 +283,7 @@ def autoregressive_infer(coarse_tf: RigidTransform, fine_src: FeatureSet,
         try:
             increment, _ = correspondence_to_transform(
                 c0_hat, warped, cand_idx, tgt_pts, fine_tgt.descriptors,
-                confidence, temperature)
+                confidence)
         except DegeneracyError as exc:
             raise DegeneracyError(f"fine step t={int(t)}: {exc}") from exc
         pose = compose(increment, pose)

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import scaled_layer_configs
-from .diffusion import DECODE_TEMPERATURE
 from .geometry import RigidTransform, as_points
 
 CHECKPOINT_MAGIC = b"ADRG"
 CHECKPOINT_VERSION = 1
 MIN_TRAIN_POINTS = 64  # smallest synthetic training cloud
+POSE_ORTHONORMAL_TOL = 1e-3  # read_pose_file: rounding, not a shear or scale
 
 
 class FormatError(ValueError):
@@ -83,6 +83,12 @@ def write_ply(path, cloud) -> None:
 
 
 def read_ply(path) -> np.ndarray:
+    """The (N, 3) x, y, z columns of an ASCII PLY file's vertex element.
+
+    Other vertex properties are read past; other elements must have count
+    0. Each vertex row holds exactly one value per declared property, and
+    only blank lines may follow the last row: anything else raises a
+    ``FormatError`` naming its line, so no value is dropped unread."""
     lines = _read_text(path, "ascii").splitlines()
     n_vertex = None
     element = None
@@ -141,7 +147,7 @@ def read_ply(path) -> np.ndarray:
     pts = np.zeros((n_vertex, 3))
     for row, line in enumerate(body):
         tokens = line.split()
-        if len(tokens) < len(properties):
+        if len(tokens) != len(properties):
             raise FormatError(f"{path}: line {body_start + row + 1}: "
                               f"expected {len(properties)} values, got {len(tokens)}")
         try:
@@ -150,6 +156,10 @@ def read_ply(path) -> np.ndarray:
             raise FormatError(f"{path}: line {body_start + row + 1}: {exc}") from None
         if not np.isfinite(pts[row]).all():
             raise FormatError(f"{path}: line {body_start + row + 1}: non-finite coordinate")
+    rest = body_start + n_vertex
+    for lineno, line in enumerate(lines[rest:], start=rest + 1):
+        if line.strip():
+            raise FormatError(f"{path}: line {lineno}: data after the {n_vertex} vertex lines")
     return pts
 
 
@@ -165,6 +175,14 @@ def orthonormalize_rotation(m: np.ndarray) -> np.ndarray:
 
 
 def read_pose_file(path) -> list[RigidTransform]:
+    """One transform per non-blank line of 12 reals, a row-major [R | t].
+
+    Poses printed to 6-9 significant digits (as KITTI's are) hold their
+    rotation to about 1e-6; the reader projects it onto the nearest
+    rotation. A block with max |M^T M - I| above ``POSE_ORTHONORMAL_TOL``
+    or det M <= 0 is a scale, shear, reflection or mistyped row, not
+    rounding: projecting it would return another pose, so it raises a
+    ``FormatError`` naming its line."""
     transforms = []
     for lineno, line in enumerate(_read_text(path, "utf-8").splitlines(), start=1):
         if not line.strip():
@@ -178,11 +196,15 @@ def read_pose_file(path) -> list[RigidTransform]:
             raise FormatError(f"{path}: line {lineno}: {exc}") from None
         if not np.isfinite(vals).all():
             raise FormatError(f"{path}: line {lineno}: non-finite value")
-        try:
-            transform = RigidTransform(orthonormalize_rotation(vals[:, :3]), vals[:, 3])
-        except ValueError as exc:  # np.linalg.LinAlgError included
-            raise FormatError(f"{path}: line {lineno}: no rotation: {exc}") from None
-        transforms.append(transform)
+        block = vals[:, :3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            off = np.abs(block.T @ block - np.eye(3)).max()
+        if not off <= POSE_ORTHONORMAL_TOL:
+            raise FormatError(f"{path}: line {lineno}: rotation block is not orthonormal "
+                              f"(max |M^T M - I| is {off:.3g})")
+        if np.linalg.det(block) <= 0:
+            raise FormatError(f"{path}: line {lineno}: rotation block is a reflection")
+        transforms.append(RigidTransform(orthonormalize_rotation(block), vals[:, 3]))
     return transforms
 
 
@@ -199,7 +221,10 @@ def write_pose_file(path, transforms) -> None:
 
 @dataclass
 class RunConfig:
-    """Pipeline configuration; field defaults are the reference settings."""
+    """Pipeline configuration; field defaults are the reference settings.
+    Settings no run varies are constants: the noise betas and Sinkhorn's
+    regularization and iterations are the defaults of ``make_schedule`` and
+    ``sinkhorn``, and the decode temperature is ``DECODE_TEMPERATURE``."""
 
     voxel_size: float = 0.3
     sample_count: int = 16384
@@ -211,8 +236,6 @@ class RunConfig:
     trans_weight: float = 1.0        # beta
     diff_weight: float = 1.0         # gamma
     diffusion_steps: int = 1000      # T
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
     learning_rate: float = 1e-3
     lr_decay: float = 0.5
     lr_decay_every: int = 10
@@ -228,15 +251,11 @@ class RunConfig:
     max_trans: float = 2.0
     jitter: float = 0.05
     outlier_clusters: int = 1
-    sinkhorn_reg: float = 0.1
-    sinkhorn_iters: int = 100
-    decode_temperature: float = DECODE_TEMPERATURE
 
     _POSITIVE_COUNTS = (
         "sample_count", "gmm_components", "bgmm_topk",
         "candidates", "sampling_steps", "diffusion_steps", "lr_decay_every",
         "train_points", "train_pairs", "val_pairs", "batch_size", "epochs",
-        "sinkhorn_iters",
     )
 
     def __post_init__(self):
@@ -252,12 +271,9 @@ class RunConfig:
         for f in dataclasses.fields(self):
             if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"config {f.name} must be finite")
-        for name in ("voxel_size", "learning_rate", "lr_decay", "sinkhorn_reg",
-                     "decode_temperature", "backbone_scale"):
+        for name in ("voxel_size", "learning_rate", "lr_decay", "backbone_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config {name} must be > 0")
-        if not 0 < self.beta_start <= self.beta_end < 1:
-            raise ValueError("config requires 0 < beta_start <= beta_end < 1")
         self._check_layer_sizes()
 
     def _check_layer_sizes(self):

@@ -16,6 +16,10 @@ running one side of ``on_both_sides``: that runs one call per cloud of a
 pair on separate threads, as a training step runs its two backbone forwards
 and then its two backwards, holds each side's writes in a list, and makes
 them in a fixed order after both end.
+
+A layer output that holds a non-finite value raises ``NumericalError``, a
+``FloatingPointError`` that ``diffusion`` raises too and that training
+and its validation catch.
 """
 
 from __future__ import annotations
@@ -131,10 +135,20 @@ def on_both_sides(fn, src_args: tuple, tgt_args: tuple):
     return src_result, tgt_result
 
 
+class NumericalError(FloatingPointError):
+    """A computation produced non-finite values: a layer's output
+    (``_check_finite``) or a fine step's predicted correspondence
+    (``diffusion.autoregressive_infer``, which fills ``diagnostics``)."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
+
+
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     # One scalar reduction; NaN/inf propagate through the sum.
     if not np.isfinite(arr.sum()):
-        raise FloatingPointError(f"non-finite values in {what}")
+        raise NumericalError(f"non-finite values in {what}")
     return arr
 
 
@@ -202,15 +216,16 @@ class BatchNorm:
     output, and the backward finishes the input gradient in its own
     ``grad_out * gamma`` array. Neither writes into its input or
     ``grad_out``, and the results are bit for bit those of the whole-array
-    expressions."""
+    expressions. Every batch norm has ``BN_MOMENTUM`` and ``BN_EPS``."""
 
-    def __init__(self, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
+    momentum = BN_MOMENTUM
+    eps = BN_EPS
+
+    def __init__(self, dim: int):
         self.gamma = Param(np.ones(dim))
         self.beta = Param(np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: np.ndarray, train: bool):
         if x.ndim != 2 or x.shape[1] != self.gamma.value.size:

@@ -30,7 +30,7 @@ from .geometry import (RigidTransform, apply_transform, as_points, compose,
                        random_rigid_transform, transform_errors, voxel_downsample)
 from .io import (MIN_TRAIN_POINTS, Checkpoint, CheckpointError, RunConfig,
                  fields_named_in)
-from .nnet import Adam, Param, on_both_sides
+from .nnet import Adam, NumericalError, Param, on_both_sides
 
 OUTLIER_MIN_RADIUS = 20.0
 OUTLIER_MAX_RADIUS = 35.0
@@ -196,8 +196,7 @@ class RegistrationModel:
         self.coarse_confidence = make_confidence_head(coarse_dim, streams[2])
         self.denoiser = diffusion.make_denoiser(fine_dim, streams[3])
         self.fine_confidence = make_confidence_head(fine_dim, streams[4])
-        self.schedule = diffusion.make_schedule(
-            config.diffusion_steps, config.beta_start, config.beta_end)
+        self.schedule = diffusion.make_schedule(config.diffusion_steps)
 
     def _modules(self):
         """(prefix, module) pairs in checkpoint order."""
@@ -230,10 +229,12 @@ class RegistrationModel:
         """Rebuild a model from the tensors ``to_checkpoint`` writes; others
         (an older writer's ``optim.*`` and ``schedule.*``) are ignored. A
         missing tensor raises ``CheckpointError`` naming it, and so does a
-        ``config.*`` tensor that is not one finite value (integral for an
-        integer field) or breaks a config rule, a ``param.*`` or ``buffer.*``
-        tensor that is not one finite value per entry, or a negative
-        ``running_var``. The noise schedule is rebuilt from the config."""
+        ``config.*`` tensor that names no field (a retired setting such as
+        ``decode_temperature``, now a constant), is not one finite value
+        (integral for an integer field) or breaks a config rule, a
+        ``param.*`` or ``buffer.*`` tensor that is not one finite value per
+        entry, or a negative ``running_var``. The noise schedule is rebuilt
+        from the config."""
 
         def stored(key: str) -> np.ndarray:
             if key not in ckpt.tensors:
@@ -243,6 +244,10 @@ class RegistrationModel:
                 raise CheckpointError(f"tensor '{key}' holds non-finite values")
             return flat
 
+        known = {f"config.{f.name}" for f in dataclasses.fields(RunConfig)}
+        retired = [key for key in ckpt.tensors if key.startswith("config.") and key not in known]
+        if retired:
+            raise CheckpointError(f"checkpoint tensors {retired} name no config field")
         kwargs = {}
         for f in dataclasses.fields(RunConfig):
             key = f"config.{f.name}"
@@ -327,8 +332,7 @@ def make_step_context(model: RegistrationModel, pair: SyntheticPair,
         bgmm_topk=cfg.bgmm_topk, candidates=cfg.candidates, seed=cfg.seed)
 
     c_gt, fine_cand = diffusion.build_gt_correspondence(
-        src_out.fine.points, tgt_out.fine.points, pair.transform,
-        k=cfg.candidates, reg=cfg.sinkhorn_reg, iters=cfg.sinkhorn_iters)
+        src_out.fine.points, tgt_out.fine.points, pair.transform, k=cfg.candidates)
     t = int(rng.integers(1, cfg.diffusion_steps + 1))
     eps = rng.standard_normal(size=c_gt.shape)
     c_t = diffusion.q_sample(model.schedule, c_gt, t, eps)
@@ -376,8 +380,7 @@ def training_loss(model: RegistrationModel, pair: SyntheticPair,
         model.denoiser, ctx.c_t, ctx.t, model.schedule.n_steps, f_g, f_d, train)
     step_tf, c2t_cache = diffusion.correspondence_to_transform(
         c0_hat, warped, ctx.fine_cand_idx, tgt_out.fine.points,
-        tgt_out.fine.descriptors, model.fine_confidence,
-        temperature=cfg.decode_temperature)
+        tgt_out.fine.descriptors, model.fine_confidence)
     est_fine = compose(step_tf, gt)
 
     total, terms, grads = loss_total(est_coarse, est_fine, gt, c0_hat,
@@ -556,7 +559,7 @@ def register_pair(model: RegistrationModel, src_cloud, tgt_cloud, *,
     fine_steps = diffusion.autoregressive_infer(
         coarse_tf, src_fine, tgt_fine, model.denoiser,
         model.fine_confidence, model.schedule, k=cfg.candidates,
-        steps=cfg.sampling_steps, seed=seed, temperature=cfg.decode_temperature)
+        steps=cfg.sampling_steps, seed=seed)
     return RegistrationResult(fine_steps[-1].pose, coarse_tf, diag, fine_steps)
 
 
@@ -617,8 +620,12 @@ def train(config: RunConfig, data_dir=None, log_path=None) -> TrainResult:
 
     With ``data_dir``, the first ``max(1, n // 8)`` of its n pairs are held
     out for validation and the rest are trained on; a directory with fewer
-    than 2 pairs raises ``ValueError``. A non-finite loss aborts training
+    than 2 pairs raises ``ValueError``. A non-finite loss, or a non-finite
+    value anywhere in a training step (``NumericalError``), aborts training
     and the last good epoch checkpoint is returned with ``aborted=True``.
+    A validation pair whose registration raises ``DegeneracyError`` or
+    ``NumericalError`` is left out of the epoch's validation errors, which
+    are NaN when no pair registers.
     Training or validation clouds too small for layer 1 raise ``ValueError``
     before the first step.
     """
@@ -711,16 +718,20 @@ def train(config: RunConfig, data_dir=None, log_path=None) -> TrainResult:
 def _train_sample(model: RegistrationModel, pair: SyntheticPair,
                   rng: np.random.Generator, grad_scale: float):
     """One sample's forward and backward, as ``training_loss``'s
-    ``(total, terms)``, or None when the pair is degenerate. The backbone
-    outputs are this call's locals, so their caches die with it even when a
-    ``DegeneracyError`` stops the step before the backward consumes them:
-    no sample's caches live through the next sample's forward."""
+    ``(total, terms)``; None when the pair is degenerate, and a NaN total
+    when a value turned non-finite (``NumericalError``), which aborts
+    training. The backbone outputs are this call's locals, so their caches
+    die with it even when an error stops the step before the backward
+    consumes them: no sample's caches live through the next sample's
+    forward."""
     try:
         ctx, src_out, tgt_out = make_step_context(model, pair, rng)
         return training_loss(model, pair, ctx, grad_scale=grad_scale,
                              outputs=(src_out, tgt_out))
     except DegeneracyError:
         return None
+    except NumericalError:
+        return float("nan"), {}
 
 
 def _validate(model: RegistrationModel, val_pairs) -> tuple[float, float]:
@@ -729,7 +740,7 @@ def _validate(model: RegistrationModel, val_pairs) -> tuple[float, float]:
         try:
             result = register_pair(model, pair.source, pair.target,
                                    seed=model.config.seed)
-        except (DegeneracyError, diffusion.NumericalError):
+        except (DegeneracyError, NumericalError):
             continue
         rte, rre = transform_errors(result.transform, pair.transform)
         rtes.append(rte)

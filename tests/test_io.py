@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -76,9 +77,13 @@ class TestPly:
           + "end_header\n1 2 3 4 5 6\n7 8 9 10 11 12\n").encode(), "line 7"),
         ((PLY_HEADER + "element vertex 2\nproperty float x\n" + XYZ
           + "end_header\n1 2 3 4\n5 6 7 8\n").encode(), "line 5"),
+        ((PLY_HEADER + "element vertex 1\n" + XYZ + "end_header\n1 2 3\n4 5 6\n").encode(),
+         "line 9"),
+        ((PLY_HEADER + "element vertex 2\n" + XYZ + "end_header\n1 2 3\n4 5 6 7\n").encode(),
+         "line 9"),
     ], ids=["vertex-no-count", "face-no-count", "bare-element", "vertex-count-x",
             "vertex-count-negative", "nan-vertex", "non-ascii-header", "vertex-twice",
-            "property-twice"])
+            "property-twice", "row-after-the-vertices", "row-with-an-extra-value"])
     def test_malformed_input_raises_positioned_format_error(self, tmp_path, payload, where):
         path = tmp_path / "bad.ply"
         path.write_bytes(payload)
@@ -118,7 +123,10 @@ class TestPoseFile:
         (b"1 0 0 0 0 1 0 0 0 0 1 0\nnan 0 0 0 0 1 0 0 0 0 1 0\n", "line 2"),
         (b"1 0 0 inf 0 1 0 0 0 0 1 0\n", "line 1"),
         (b"1 0 0 0 0 1 0 0 0 0 1 0\n\xff 0 0 0 0 1 0 0 0 0 1 0\n", "line 2"),
-    ], ids=["nan", "inf", "not-utf8"])
+        (b"1 0 0 0 0 1 0 0 0 0 1 0\n0 0 0 1 0 0 0 2 0 0 0 3\n", "line 2: .* not orthonormal"),
+        (b"2 0 0 0 0 2 0 0 0 0 2 0\n", "line 1: .* not orthonormal"),
+        (b"1 0 0 0 0 1 0 0 0 0 -1 0\n", "line 1: .* reflection"),
+    ], ids=["nan", "inf", "not-utf8", "zero-block", "scaled-identity", "reflection"])
     def test_malformed_input_raises_positioned_format_error(self, tmp_path, payload, where):
         path = tmp_path / "poses.txt"
         path.write_bytes(payload)
@@ -181,6 +189,14 @@ class TestRunConfig:
     def test_invalid_value(self):
         with pytest.raises(aio.FormatError):
             aio.parse_config("gmm_components = 0\n")
+
+    @pytest.mark.parametrize("key", ["beta_start", "beta_end", "sinkhorn_reg",
+                                     "sinkhorn_iters", "decode_temperature"])
+    def test_retired_settings_are_unknown_keys(self, key):
+        # Each is a constant of the code, which a stored value would not reach.
+        assert len(dataclasses.fields(aio.RunConfig)) == 24
+        with pytest.raises(aio.FormatError, match=f"line 2: unknown key '{key}'"):
+            aio.parse_config(f"seed = 1\n{key} = 0.05\n")
 
     def test_repeated_key(self):
         with pytest.raises(aio.FormatError, match="line 2: 'voxel_size' repeats line 1"):

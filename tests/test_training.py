@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import gc
 import hashlib
@@ -434,6 +435,43 @@ class TestTrainLoop:
         (log,) = result.logs
         assert np.isnan([log.loss_trans, log.loss_rot, log.loss_diff]).all()
 
+    def test_non_finite_validation_logs_nan(self):
+        # Adam steps of size 1e30 blow the weights up: the eval-mode
+        # backbone of every validation registration overflows.
+        with np.errstate(all="ignore"):
+            result = training.train(tiny_config(learning_rate=1e30, epochs=3))
+        assert len(result.logs) == 3
+        for log in result.logs:
+            assert np.isnan([log.val_rte, log.val_rre]).all()
+        training.RegistrationModel.from_checkpoint(result.checkpoint)
+
+    def test_non_finite_step_aborts_with_the_last_epochs_weights(self, monkeypatch):
+        cfg = tiny_config(epochs=1)
+        one_epoch = training.train(cfg).checkpoint.tensors
+        validate, training_loss = training._validate, training.training_loss
+        validated = []
+
+        def spy_validate(model, val_pairs):
+            validated.append(True)
+            return validate(model, val_pairs)
+
+        def loss(*args, **kwargs):
+            if validated:
+                raise nnet.NumericalError("non-finite values in linear output")
+            return training_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_validate", spy_validate)
+        monkeypatch.setattr(training, "training_loss", loss)
+        result = training.train(dataclasses.replace(cfg, epochs=2))
+        assert result.aborted
+        assert len(result.logs) == 1
+        tensors = result.checkpoint.tensors
+        assert list(tensors) == list(one_epoch)
+        assert tensors["config.epochs"].tolist() == [2.0]
+        for name, arr in tensors.items():
+            if name != "config.epochs":
+                assert arr.tobytes() == one_epoch[name].tobytes(), name
+
     @staticmethod
     def write_pairs(path, count):
         cfg = tiny_config()
@@ -523,7 +561,7 @@ class TestTrainLoop:
                 + [f"buffer.{name}" for name, _ in model._buffer_modules()]
                 + [f"config.{name}" for name in vars(cfg)])
         assert list(tensors) == want
-        assert len(want) == 205
+        assert len(want) == 200
 
     def test_checkpoint_model_round_trip(self):
         cfg = tiny_config(epochs=1, train_pairs=2, val_pairs=1)
@@ -547,6 +585,14 @@ class TestCheckpointErrors:
         ckpt = self.checkpoint()
         ckpt.tensors["config.bgmm_topk"] = np.array([9.0])
         with pytest.raises(CheckpointError, match=r"'config\.bgmm_topk'.*bgmm_topk \(9\)"):
+            training.RegistrationModel.from_checkpoint(ckpt)
+
+    def test_retired_config_tensor_is_refused(self):
+        # The decode temperature is a constant of the code, which a stored
+        # value would not reach.
+        ckpt = self.checkpoint()
+        ckpt.tensors["config.decode_temperature"] = np.array([0.05])
+        with pytest.raises(CheckpointError, match=r"'config\.decode_temperature'"):
             training.RegistrationModel.from_checkpoint(ckpt)
 
     def test_missing_tensor(self):
